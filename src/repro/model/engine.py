@@ -153,6 +153,11 @@ PREFILTER_VECTORIZED_DEFAULT = os.environ.get(
     "REPRO_SCALAR_PREFILTER", ""
 ).lower() in ("", "0", "false", "no", "off")
 
+#: Marker default of :meth:`Evaluator._evaluate_batch`'s ``memos``
+#: (never written to): the call keeps fresh sparse-walk memos of its
+#: own.
+_CALL_MEMOS: dict = {}
+
 #: Entry points that already emitted their deprecation warning this
 #: process (so heavy sweeps through legacy call sites warn once, not
 #: once per evaluation). Tests reset this to re-assert the warning.
@@ -379,9 +384,9 @@ class Evaluator:
     drives the search in candidate blocks — prefilter each candidate
     as it is drawn (feeding overflow witnesses straight back to the
     mapper, so generation between blocks is already pruned), then push
-    every survivor of a block through **one stacked sparse evaluation**
-    (:func:`~repro.sparse.postprocess.analyze_sparse_batch`) instead of
-    one numpy pass per candidate — and, on the sampled path, replays
+    every survivor of a block through **one stacked dense + sparse
+    evaluation** (:meth:`_evaluate_batch`) instead of one numpy pass
+    per candidate — and, on the sampled path, replays
     the candidate stream from the ``"candidates"`` cache stage instead
     of re-drawing it. ``"serial"`` is the per-candidate oracle (the
     exact historical scan); both strategies return a bit-identical
@@ -416,6 +421,14 @@ class Evaluator:
     accept ``parallel=N`` to fan out over ``N`` worker processes in
     deterministic contiguous chunks (results identical to serial).
     Workers are pre-warmed with the parent's cache entries.
+
+    Stacked pipeline: search blocks, Session batches, and the serve
+    daemon share one stacked evaluation pipeline,
+    :meth:`_evaluate_batch` (one dense pass, one sparse pass, then the
+    micro tail). Walk-memo rule: a search keeps one sparse-walk memo
+    per walk context across all its blocks when ``dense_vectorized``
+    is set and none otherwise, while a batch call keeps fresh memos
+    for that call only.
     """
 
     check_capacity: bool = True
@@ -1190,9 +1203,9 @@ class Evaluator:
         a stream index, prefilter overflows register witnesses
         *immediately* (so generation of later candidates, including the
         next block's, is already pruned) — but evaluation of prefilter
-        survivors is deferred: each full block runs through one stacked
-        sparse evaluation (:meth:`_sparse_analysis_many`) instead of
-        one numpy pass per candidate. Deferral is sound because
+        survivors is deferred: each full block runs through the stacked
+        pipeline (:meth:`_evaluate_block`) instead of one numpy pass per
+        candidate. Deferral is sound because
         evaluation never feeds anything back to the stream; scores are
         bit-identical because the stacked arithmetic is elementwise and
         the in-order ``score < best`` comparison reproduces the serial
@@ -1287,7 +1300,7 @@ class Evaluator:
         # per-tile format scalings recur across blocks. Gated with the
         # vectorized dense backend so the scalar-oracle configuration
         # stays the plain per-candidate pipeline.
-        memo: dict | None = {} if self.dense_vectorized else None
+        memos: dict | None = {} if self.dense_vectorized else None
         best: tuple[float, int, EvaluationResult] | None = None
         block: list[tuple[int, Mapping]] = []
         evaluated = 0
@@ -1310,7 +1323,7 @@ class Evaluator:
             block.append((index, mapping))
             if len(block) >= batch_size:
                 best = self._evaluate_block(
-                    design, workload, block, objective, best, memo=memo,
+                    design, workload, block, objective, best, memos=memos,
                     frontier=frontier,
                 )
                 evaluated += len(block)
@@ -1318,7 +1331,7 @@ class Evaluator:
                 _report()
         if block:
             best = self._evaluate_block(
-                design, workload, block, objective, best, memo=memo,
+                design, workload, block, objective, best, memos=memos,
                 frontier=frontier,
             )
             evaluated += len(block)
@@ -1332,77 +1345,33 @@ class Evaluator:
         block: list[tuple[int, Mapping]],
         objective: Objective,
         best: tuple[float, int, EvaluationResult] | None,
-        memo: dict | None = None,
+        memos: dict | None = None,
         frontier: ParetoFrontier | None = None,
         collect: list | None = None,
     ) -> tuple[float, int, EvaluationResult] | None:
-        """Evaluate one block of prefilter survivors through the
-        stacked dense + sparse pipeline and fold them into ``best``.
+        """Evaluate one block of prefilter survivors and fold them into
+        ``best``.
 
-        A ``frontier`` is maintained in place when given, and
-        ``collect`` (when given) receives an ``(index, score)`` pair
-        per successfully evaluated candidate — the evolutionary
-        strategy's fitness feed.
-
-        Candidates whose evaluation raises an expected modeling error
-        (capacity overflow under the full validity check, mapping
-        rejection) are skipped, exactly as in the serial scan. Should
-        a stacked pass itself fail, the block falls back to the serial
-        per-candidate oracle — with the stage accounting of the
-        aborted attempt rolled back first — so the failure is
-        attributed to the one candidate that caused it; results and
-        cache statistics are identical to the serial scan either way.
-        ``memo`` is the search-wide sparse-walk memo (see
-        :func:`~repro.sparse.postprocess.analyze_sparse_batch`).
+        The block is a :meth:`_evaluate_batch` call whose jobs share
+        ``(design, workload)``; ``memos`` is the search's walk-memo
+        dict (``None``: no memo). Candidates whose evaluation raises an
+        expected modeling error (capacity overflow under the full
+        validity check, mapping rejection) are skipped, exactly as in
+        the serial scan; any other :class:`ReproError` re-raises, in
+        candidate order. A ``frontier`` is maintained in place when
+        given, and ``collect`` (when given) receives an ``(index,
+        score)`` pair per successfully evaluated candidate — the
+        evolutionary strategy's fitness feed.
         """
-        dense_entries = self._dense_analysis_many(
-            design, workload, [mapping for _, mapping in block]
+        outcomes = self._evaluate_batch(
+            [(design, workload, mapping) for _index, mapping in block],
+            memos=memos,
         )
-        prepared: list[tuple[int, Mapping, DenseTraffic, tuple | None]] = []
-        for (index, mapping), entry in zip(block, dense_entries):
-            if entry is None:
-                continue
-            dense, dense_key = entry
-            prepared.append((index, mapping, dense, dense_key))
-        if not prepared:
-            return best
-        stage = self.cache.sparse if self.cache is not None else None
-        counters = (stage.hits, stage.misses) if stage is not None else None
-        try:
-            analyses = self._sparse_analysis_many(
-                [(dense, key) for _, _, dense, key in prepared],
-                design.safs,
-                memo=memo,
-            )
-        except (ValidationError, MappingError):
-            if stage is not None:
-                # The aborted stacked attempt already counted its
-                # lookups; the serial fallback recounts every one.
-                stage.hits, stage.misses = counters
-            analyses = None
-        if analyses is None:
-            analyses = []
-            for _index, _mapping, dense, dense_key in prepared:
-                try:
-                    analyses.append(
-                        self._sparse_analysis_keyed(
-                            dense, design.safs, dense_key
-                        )
-                    )
-                except (ValidationError, MappingError):
-                    analyses.append(None)
-        for (index, _mapping, dense, _key), analysis in zip(
-            prepared, analyses
-        ):
-            if analysis is None:
-                continue
-            sparse, sparse_key = analysis
-            try:
-                result = self._finish_evaluation(
-                    design, workload, dense, sparse, sparse_key
-                )
-            except (ValidationError, MappingError):
-                continue
+        for (index, _mapping), (result, error) in zip(block, outcomes):
+            if error is not None:
+                if isinstance(error, (ValidationError, MappingError)):
+                    continue
+                raise error
             score = objective.score(result)
             if collect is not None:
                 collect.append((index, score))
@@ -1469,7 +1438,7 @@ class Evaluator:
             generation.append(genome)
         # One sparse-walk memo spans the whole search, as in the
         # batched scan: every candidate shares (design, workload).
-        memo: dict | None = {} if self.dense_vectorized else None
+        memos: dict | None = {} if self.dense_vectorized else None
         best: tuple[float, int, EvaluationResult] | None = None
         scored: list[tuple[float, int, dict]] = []
         proposals = 0
@@ -1505,13 +1474,13 @@ class Evaluator:
                 if len(block) >= batch_size:
                     best = self._evaluate_block(
                         design, workload, block, objective, best,
-                        memo=memo, frontier=frontier, collect=collect,
+                        memos=memos, frontier=frontier, collect=collect,
                     )
                     block = []
             if block:
                 best = self._evaluate_block(
                     design, workload, block, objective, best,
-                    memo=memo, frontier=frontier, collect=collect,
+                    memos=memos, frontier=frontier, collect=collect,
                 )
             for got_index, score in collect:
                 scored.append((score, got_index, genomes_by_index[got_index]))
@@ -1527,196 +1496,6 @@ class Evaluator:
                 min(pop_size, budget - proposals), seen, config,
             )
         return best
-
-    def _dense_analysis_many(
-        self,
-        design: Design,
-        workload: Workload,
-        mappings: Sequence[Mapping],
-    ) -> list[tuple[DenseTraffic, tuple | None] | None]:
-        """:meth:`_dense_analysis_keyed` over one block of candidates.
-
-        Cache hits are served as usual; misses run through **one**
-        :func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`
-        call (deduped by content key, so a repeated sampled draw is
-        computed once and the follower served as the hit the serial
-        scan would have seen) and are installed into the ``"dense"``
-        stage. A candidate whose analysis fails with an expected
-        modeling error yields ``None``; should the stacked pass fail,
-        the stage accounting of the aborted attempt is rolled back and
-        the block recounts through the serial per-candidate oracle.
-        Results and cache statistics match the serial loop exactly.
-        """
-        count = len(mappings)
-        out: list[tuple[DenseTraffic, tuple | None] | None] = [None] * count
-        keys: list[tuple | None] = [None] * count
-        compute_positions: list[int] = []
-        followers: dict[int, list[int]] = {}
-        first_by_key: dict[tuple, int] = {}
-        stage = self.cache.dense if self.cache is not None else None
-        counters = (stage.hits, stage.misses) if stage is not None else None
-        for position, mapping in enumerate(mappings):
-            if stage is not None:
-                key = CachedHashKey(
-                    dense_analysis_key(workload, design.arch, mapping)
-                )
-                keys[position] = key
-                if key in stage:  # peek: accounting handled per branch
-                    cached = stage.get(key)  # counts the hit
-                    out[position] = (replace(cached, workload=workload), key)
-                    continue
-                first = first_by_key.get(key)
-                if first is not None:
-                    # Serial accounting: the first occurrence computes
-                    # and installs before the scan reaches this
-                    # duplicate — a hit, not a miss.
-                    stage.hits += 1
-                    followers.setdefault(first, []).append(position)
-                    continue
-                first_by_key[key] = position
-                stage.misses += 1  # the serial get-before-compute miss
-            compute_positions.append(position)
-        if compute_positions:
-            try:
-                computed = analyze_dataflow_batch(
-                    [
-                        (workload, design.arch, mappings[i])
-                        for i in compute_positions
-                    ],
-                    vectorized=self.dense_vectorized,
-                )
-            except (ValidationError, MappingError):
-                if stage is not None:
-                    # The aborted stacked attempt already counted its
-                    # lookups; the serial fallback recounts every one.
-                    stage.hits, stage.misses = counters
-                return self._dense_analysis_many_fallback(
-                    design, workload, mappings
-                )
-            for position, dense in zip(compute_positions, computed):
-                key = keys[position]
-                if stage is not None and key is not None:
-                    # Store with the workload stripped, exactly as
-                    # DenseAnalysisCache.get_or_compute_keyed does.
-                    stage.put(key, replace(dense, workload=None))
-                out[position] = (dense, key)
-                for follower in followers.get(position, ()):
-                    # The follower's serial hit would have returned the
-                    # stored copy rebound to its workload.
-                    out[follower] = (
-                        replace(dense, workload=workload),
-                        keys[follower],
-                    )
-        return out
-
-    def _dense_analysis_many_fallback(
-        self,
-        design: Design,
-        workload: Workload,
-        mappings: Sequence[Mapping],
-    ) -> list[tuple[DenseTraffic, tuple | None] | None]:
-        """Per-candidate dense analysis with per-candidate error
-        isolation — the serial oracle the stacked pass falls back to."""
-        out: list[tuple[DenseTraffic, tuple | None] | None] = []
-        for mapping in mappings:
-            try:
-                out.append(
-                    self._dense_analysis_keyed(design, workload, mapping)
-                )
-            except (ValidationError, MappingError):
-                out.append(None)
-        return out
-
-    def _sparse_analysis_many(
-        self,
-        items: Sequence[tuple[DenseTraffic, tuple | None]],
-        safs: SAFSpec,
-        memo: dict | None = None,
-    ) -> list[tuple[SparseTraffic, CachedHashKey | None]]:
-        """:meth:`_sparse_analysis_keyed` over many candidates at once.
-
-        Cache hits are served as usual; the misses are computed in
-        **one** stacked numpy pass (deduped by content key, so a
-        repeated sampled draw is computed once and shared, exactly as
-        the serial scan's compute-then-hit sequence would) and
-        installed into the sparse stage. Per-candidate results are
-        bit-identical to calling the serial helper in a loop.
-        """
-        count = len(items)
-        sparses: list[SparseTraffic | None] = [None] * count
-        keys: list[CachedHashKey | None] = [None] * count
-        compute_positions: list[int] = []
-        followers: dict[int, list[int]] = {}
-        first_by_key: dict[CachedHashKey, int] = {}
-        # The block shares one workload and one SAF spec, so of the
-        # sparse key triple (dense key, SAF key, density keys) only the
-        # dense component varies per candidate: derive the invariant
-        # parts once and assemble per-candidate keys inline — the same
-        # tuples sparse_analysis_key would build.
-        invariant: tuple | None = None
-        if self.cache is not None and items:
-            workload = next(
-                (d.workload for d, _k in items if d is not None), None
-            )
-            if workload is not None:
-                ensure_output_density(workload)
-                density_keys = []
-                for tensor in workload.einsum.tensors:
-                    density_key = workload.density_of(tensor.name).cache_key()
-                    if density_key is None:
-                        density_keys = None
-                        break
-                    density_keys.append((tensor.name, density_key))
-                if density_keys is not None:
-                    invariant = (safs.cache_key(), tuple(density_keys))
-        for position, (dense, dense_key) in enumerate(items):
-            key: CachedHashKey | None = None
-            if self.cache is not None:
-                if (
-                    invariant is not None
-                    and dense_key is not None
-                    and dense.workload is workload
-                ):
-                    if not isinstance(dense_key, CachedHashKey):
-                        dense_key = CachedHashKey(dense_key)
-                    key = CachedHashKey((dense_key, *invariant))
-                else:
-                    raw = sparse_analysis_key(dense, safs, dense_key)
-                    if raw is not None:
-                        key = CachedHashKey(raw)
-            keys[position] = key
-            if key is not None:
-                stage = self.cache.sparse
-                if key in stage:  # peek: accounting handled per branch
-                    sparses[position] = stage.get(key)  # counts the hit
-                    continue
-                first = first_by_key.get(key)
-                if first is not None:
-                    # Serial accounting: by the time the scan reached
-                    # this duplicate, the first occurrence had computed
-                    # and installed the entry — a hit, not a miss. (The
-                    # LRU refresh the serial hit would do is subsumed
-                    # by the upcoming put of the first occurrence.)
-                    stage.hits += 1
-                    followers.setdefault(first, []).append(position)
-                    continue
-                first_by_key[key] = position
-                stage.misses += 1  # the serial get-before-compute miss
-            compute_positions.append(position)
-        if compute_positions:
-            computed = analyze_sparse_batch(
-                [(items[i][0], safs) for i in compute_positions],
-                vectorized=self.sparse_vectorized,
-                memo=memo,
-            )
-            for position, sparse in zip(compute_positions, computed):
-                sparses[position] = sparse
-                key = keys[position]
-                if key is not None:
-                    self.cache.sparse.put(key, sparse)
-                for follower in followers.get(position, ()):
-                    sparses[follower] = sparse
-        return list(zip(sparses, keys))
 
     def _search_parallel(
         self,
@@ -1794,17 +1573,15 @@ class Evaluator:
         self._absorb_result(design, workload, winner.result)
         return winner.result
 
-    def _dense_analysis_mixed(
+    def _dense_analysis_batch(
         self,
         items: Sequence[tuple[Design, Workload, Mapping]],
     ) -> list[tuple[DenseTraffic, tuple | None] | ReproError]:
-        """:meth:`_dense_analysis_keyed` over many *heterogeneous*
-        ``(design, workload, mapping)`` triples at once.
+        """:meth:`_dense_analysis_keyed` over many ``(design, workload,
+        mapping)`` triples at once — the dense stage of
+        :meth:`_evaluate_batch`.
 
-        The block variant (:meth:`_dense_analysis_many`) serves one
-        search block's candidates; this one serves the
-        batched-submission/serving path, where every triple may carry
-        a different design and workload
+        Every triple may carry a different design and workload
         (:func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`
         groups compatible structures internally). Cache hits are
         served as usual; misses run through one stacked call. A
@@ -1889,28 +1666,30 @@ class Evaluator:
                     )
         return out
 
-    def _sparse_analysis_mixed(
+    def _sparse_analysis_batch(
         self,
-        entries: Sequence[tuple[DenseTraffic, SAFSpec, tuple | None]],
-    ) -> list[tuple[SparseTraffic, CachedHashKey | None]]:
-        """:meth:`_sparse_analysis_keyed` over many *heterogeneous*
-        analyses at once.
+        entries: Sequence[tuple[Design, DenseTraffic, tuple | None]],
+        memos: dict | None,
+    ) -> list[tuple[SparseTraffic, CachedHashKey | None] | ReproError]:
+        """:meth:`_sparse_analysis_keyed` over many ``(design, dense,
+        dense_key)`` entries at once — the sparse stage of
+        :meth:`_evaluate_batch`.
 
-        The block variant (:meth:`_sparse_analysis_many`) stacks the
-        candidates of one search block, which share a workload and one
-        SAF spec; this one serves the batched-submission/serving path,
-        where every entry may carry a different design and workload.
         Cache hits are served as usual; the misses are deduped by
         content key and computed in stacked numpy passes
         (:func:`~repro.sparse.postprocess.analyze_sparse_batch` takes
-        per-item SAF specs), so jobs from many clients share the
-        vectorized kernels. Misses whose sparse-walk *context* matches
-        — same workload content (einsum and densities), SAF spec, and
-        architecture; only the mapping differs — additionally share
-        one walk memo per flush, exactly as the candidates of one
-        search block do. Per-entry results — values, cache accounting,
-        and shared-object identity for duplicates — are bit-identical
-        to calling the serial helper in a loop.
+        per-item SAF specs), one per sparse-walk *context*: same
+        workload content (einsum and densities), SAF spec, and
+        architecture — only the mapping differs. Each context's walk
+        memo is ``memos[context]`` (created on first use); ``memos=None``
+        walks without one. Computed entries install only after every
+        context has flushed, so should a flush fail, rolling back the
+        stage accounting of the aborted attempt restores the exact
+        pre-pass state, and every entry recounts through the serial
+        oracle so the error lands on exactly the entries that caused
+        it. Per-entry results — values, errors, cache accounting, and
+        shared-object identity for duplicates — are bit-identical to
+        calling the serial helper in a loop.
         """
         count = len(entries)
         sparses: list[SparseTraffic | None] = [None] * count
@@ -1918,15 +1697,16 @@ class Evaluator:
         compute_positions: list[int] = []
         followers: dict[int, list[int]] = {}
         first_by_key: dict[CachedHashKey, int] = {}
-        for position, (dense, safs, dense_key) in enumerate(entries):
+        stage = self.cache.sparse if self.cache is not None else None
+        counters = (stage.hits, stage.misses) if stage is not None else None
+        for position, (design, dense, dense_key) in enumerate(entries):
             key: CachedHashKey | None = None
-            if self.cache is not None:
-                raw = sparse_analysis_key(dense, safs, dense_key)
+            if stage is not None:
+                raw = sparse_analysis_key(dense, design.safs, dense_key)
                 if raw is not None:
                     key = CachedHashKey(raw)
             keys[position] = key
             if key is not None:
-                stage = self.cache.sparse
                 if key in stage:  # peek: accounting handled per branch
                     sparses[position] = stage.get(key)  # counts the hit
                     continue
@@ -1941,71 +1721,94 @@ class Evaluator:
                 first_by_key[key] = position
                 stage.misses += 1  # the serial get-before-compute miss
             compute_positions.append(position)
-        # Group the misses by sparse-walk context: the sparse key is
-        # (dense key = (einsum, arch, mapping), SAF key, density keys),
-        # so dropping the mapping component leaves exactly the context
-        # the walk memo is pure over (see analyze_sparse_batch). Each
-        # group flushes as one stacked pass with a fresh shared memo;
-        # keyless entries (uncacheable densities) have no content
-        # identity to group on and flush together without one.
-        groups: dict[object, list[int]] = {}
+        # The sparse key is (dense key = (einsum, arch, mapping), SAF
+        # key, density keys), so dropping the mapping component leaves
+        # exactly the context the walk memo is pure over (see
+        # analyze_sparse_batch). Keyless entries (no cache, or
+        # uncacheable densities) group by object identity instead.
+        groups: dict[tuple, list[int]] = {}
         for position in compute_positions:
             key = keys[position]
-            context: object = None
-            if key is not None:
+            if key is None:
+                design, dense, _dense_key = entries[position]
+                context = (id(design), id(dense.workload))
+            else:
                 dense_component, safs_key, density_keys = key.key
-                dense_parts = dense_component.key
-                if isinstance(dense_parts, tuple) and len(dense_parts) == 3:
-                    context = (
-                        dense_parts[0],  # einsum content
-                        dense_parts[1],  # architecture content
-                        safs_key,
-                        density_keys,
-                    )
-                else:  # unrecognised dense-key shape: no cross-entry memo
-                    context = key
+                einsum_key, arch_key, _mapping_key = dense_component.key
+                context = (einsum_key, arch_key, safs_key, density_keys)
             groups.setdefault(context, []).append(position)
-        for context, positions in groups.items():
-            computed = analyze_sparse_batch(
-                [(entries[i][0], entries[i][1]) for i in positions],
-                vectorized=self.sparse_vectorized,
-                memo={} if context is not None else None,
-            )
+        flushes: list[tuple[list[int], list[SparseTraffic]]] = []
+        try:
+            for context, positions in groups.items():
+                memo = None if memos is None else memos.setdefault(context, {})
+                computed = analyze_sparse_batch(
+                    [(entries[i][1], entries[i][0].safs) for i in positions],
+                    vectorized=self.sparse_vectorized,
+                    memo=memo,
+                )
+                flushes.append((positions, computed))
+        except ReproError:
+            if stage is not None:
+                # The aborted stacked attempt already counted its
+                # lookups; the serial fallback recounts every one.
+                stage.hits, stage.misses = counters
+            fallback: list = []
+            for design, dense, dense_key in entries:
+                try:
+                    fallback.append(
+                        self._sparse_analysis_keyed(
+                            dense, design.safs, dense_key
+                        )
+                    )
+                except ReproError as exc:
+                    fallback.append(exc)
+            return fallback
+        for positions, computed in flushes:
             for position, sparse in zip(positions, computed):
                 sparses[position] = sparse
                 key = keys[position]
                 if key is not None:
-                    self.cache.sparse.put(key, sparse)
+                    stage.put(key, sparse)
                 for follower in followers.get(position, ()):
                     sparses[follower] = sparse
         return list(zip(sparses, keys))
 
     def _evaluate_batch(
-        self, jobs: Sequence[tuple]
+        self, jobs: Sequence[tuple], memos: dict | None = _CALL_MEMOS
     ) -> list[tuple[EvaluationResult | None, ReproError | None]]:
         """Evaluate a batch of jobs in one stacked pass, capturing
         expected failures per job.
 
         Each job is ``(design, workload[, mapping])`` — the
-        :meth:`_evaluate` signature. The pipeline runs stage by stage
-        across the whole batch: mappings resolve first
-        (constraints-only designs fall back to the ordinary search
-        path), the dense misses of the batch stack through one
-        :meth:`_dense_analysis_mixed` pass, the sparse misses through
-        one :meth:`_sparse_analysis_mixed` pass, and the micro tail
-        finishes each job. Every per-job outcome — including
-        :class:`~repro.common.errors.ReproError` failures such as
-        capacity overflows — matches a serial :meth:`_evaluate` call
-        bit for bit; only the grouping of the numpy arithmetic
-        changes, and the stacked backends are the proven-bit-identical
+        :meth:`_evaluate` signature. This is the engine's one stacked
+        pipeline: search blocks (:meth:`_evaluate_block`), Session
+        batches, and the serve daemon's micro-batches all run through
+        it. It runs stage by stage across the whole batch: mappings
+        resolve first (constraints-only designs fall back to the
+        ordinary search path), the dense misses of the batch stack
+        through one :meth:`_dense_analysis_batch` pass, the sparse
+        misses through one :meth:`_sparse_analysis_batch` pass, and the
+        micro tail finishes each job. Every per-job outcome —
+        including :class:`~repro.common.errors.ReproError` failures
+        such as capacity overflows — and every stage's cache
+        accounting match a loop of serial :meth:`_evaluate` calls bit
+        for bit; only the grouping of the numpy arithmetic changes,
+        and the stacked backends are the proven-bit-identical
         :func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`
         and :func:`~repro.sparse.postprocess.analyze_sparse_batch`.
+
+        ``memos`` holds one sparse-walk memo per walk context: by
+        default the call keeps fresh ones of its own, a search passes
+        one dict across all its blocks, and ``None`` walks without a
+        memo.
 
         Returns one ``(result, error)`` pair per job, in job order
         (exactly one side is non-``None``). This is the micro-batching
         core of the serving daemon: N concurrent clients' evaluate
         jobs resolve through one call.
         """
+        if memos is _CALL_MEMOS:
+            memos = {}
         jobs = list(jobs)
         outcomes: list[tuple | None] = [None] * len(jobs)
         staged: list[tuple[int, Design, Workload, Mapping]] = []
@@ -2025,7 +1828,7 @@ class Evaluator:
             staged.append((index, design, workload, mapping))
 
         dense_entries: list[tuple] = []
-        dense_outcomes = self._dense_analysis_mixed(
+        dense_outcomes = self._dense_analysis_batch(
             [(design, workload, mapping) for _i, design, workload, mapping
              in staged]
         )
@@ -2038,29 +1841,13 @@ class Evaluator:
             dense, dense_key = dense_outcome
             dense_entries.append((index, design, workload, dense, dense_key))
 
-        analyses: list
-        try:
-            analyses = self._sparse_analysis_mixed(
-                [
-                    (dense, design.safs, dense_key)
-                    for _i, design, _w, dense, dense_key in dense_entries
-                ]
-            )
-        except ReproError:
-            # A failure inside the stacked flush cannot be attributed
-            # to one job; re-run the sparse stage serially so the error
-            # lands on exactly the job(s) that caused it.
-            analyses = []
-            for _i, design, _w, dense, dense_key in dense_entries:
-                try:
-                    analyses.append(
-                        self._sparse_analysis_keyed(
-                            dense, design.safs, dense_key
-                        )
-                    )
-                except ReproError as exc:
-                    analyses.append(exc)
-
+        analyses = self._sparse_analysis_batch(
+            [
+                (design, dense, dense_key)
+                for _i, design, _w, dense, dense_key in dense_entries
+            ],
+            memos,
+        )
         for entry, analysis in zip(dense_entries, analyses):
             index, design, workload, dense, _dense_key = entry
             if isinstance(analysis, ReproError):
@@ -2816,26 +2603,3 @@ def _evaluate_range_worker(payload):
     shared = _WORKER_SHARED
     evaluator = _bind_worker_cache(shared["evaluator"])
     return [evaluator._evaluate(*job) for job in shared["jobs"][start:stop]]
-
-
-def _search_chunk_worker(payload):
-    """Legacy self-contained chunk worker (state rides in the payload);
-    kept for external callers — the engine now ships
-    :func:`_search_range_worker` payloads instead."""
-    evaluator, design, workload, chunk, objective, offset = payload
-    evaluator = _bind_worker_cache(evaluator)
-    if evaluator.search_strategy == "batched":
-        return evaluator._search_candidates_batched(
-            design, workload, chunk, objective, offset=offset
-        )
-    return evaluator._search_candidates(
-        design, workload, chunk, objective, offset=offset
-    )
-
-
-def _evaluate_chunk_worker(payload):
-    """Legacy self-contained chunk worker; see
-    :func:`_search_chunk_worker`."""
-    evaluator, jobs = payload
-    evaluator = _bind_worker_cache(evaluator)
-    return [evaluator._evaluate(*job) for job in jobs]
