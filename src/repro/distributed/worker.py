@@ -41,6 +41,10 @@ Witness exchange is therefore purely an accelerator: it lets shard
 ``k`` skip replaying work shards ``< k`` already did, and lets a
 reassigned shard resume from the dead worker's last reported state,
 with the merged result provably unchanged either way.
+
+This is the only batched stream scan: the engine's in-process and
+``parallel=N`` searches run it too, as one inline shard or as pool
+shards without a witness board (see ``Evaluator._search_stream``).
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from repro.search.objective import resolve_objective
 from .plan import WitnessBoard, WitnessSnapshot
 from .store import StreamStore, stream_store_for
 
-__all__ = ["resolve_stream", "run_shard", "shard_stream_key"]
+__all__ = ["resolve_stream", "run_shard", "shard_stream_key", "stream_mapper"]
 
 
 def shard_stream_key(job: SearchShardJob) -> str:
@@ -74,6 +78,15 @@ def shard_stream_key(job: SearchShardJob) -> str:
         job.budget,
     )
     return StreamStore.key(job.mode, identity, job.budget, job.seed)
+
+
+def stream_mapper(job: SearchShardJob) -> Mapper | None:
+    """A fresh witness mapper for ``job``'s stream (``None`` for
+    explicit candidates, which carry no witness bookkeeping)."""
+    if job.mode == "explicit":
+        return None
+    design = job.design
+    return Mapper(job.workload.einsum, design.arch, design.constraints)
 
 
 def resolve_stream(
@@ -146,6 +159,7 @@ def run_shard(
     board: WitnessBoard | None = None,
     progress: Callable[[dict], None] | None = None,
     store: StreamStore | None = None,
+    resolved: tuple[list, Mapper | None] | None = None,
 ) -> SearchShardResult:
     """Scan one shard; returns its :class:`SearchShardResult`.
 
@@ -156,20 +170,25 @@ def run_shard(
     every chunk; the serve daemon turns these into progress envelopes
     and the coordinator forwards the embedded snapshots to the other
     workers. ``store`` defaults to the evaluator's persistent tier's
-    stream sibling.
+    stream sibling. ``resolved`` is an already planned ``(stream,
+    mapper)`` pair, as :func:`resolve_stream` returns it: the engine's
+    own searches plan the stream once and hand it to every shard
+    instead of resolving it again.
     """
     if not 0 <= job.start <= job.stop <= job.total:
         raise SpecError(
             f"malformed shard range [{job.start}, {job.stop}) of "
             f"total {job.total}"
         )
-    if store is None:
-        store = stream_store_for(evaluator.persistent)
+    if resolved is None:
+        if store is None:
+            store = stream_store_for(evaluator.persistent)
+        resolved = resolve_stream(evaluator, job, store=store)
+    stream, mapper = resolved
     objective = resolve_objective(job.objective)
-    stream, mapper = resolve_stream(evaluator, job, store=store)
     batch_size = max(1, job.batch_size or evaluator.search_batch_size)
     prefilter = job.prefilter and job.check_capacity
-    blocked = prefilter and evaluator.prefilter_vectorized and mapper is not None
+    blocked = prefilter and evaluator.prefilter_vectorized
 
     frontier = ParetoFrontier(axes=objective.axes)
     memos: dict | None = {} if evaluator.dense_vectorized else None
@@ -209,6 +228,8 @@ def run_shard(
         )
 
     def _report() -> None:
+        if board is None and progress is None:
+            return
         snapshot = _state()
         if board is not None:
             board.post(snapshot)

@@ -66,7 +66,6 @@ import random
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -379,23 +378,25 @@ class Evaluator:
     feedback into the mapper is unchanged: overflow extents are
     derived lazily from the block arrays only when a witness is
     actually registered.
-    ``search_strategy`` / ``search_batch_size``: how the serial
-    mapspace scan evaluates candidates. ``"batched"`` (the default)
-    drives the search in candidate blocks — prefilter each candidate
-    as it is drawn (feeding overflow witnesses straight back to the
-    mapper, so generation between blocks is already pruned), then push
-    every survivor of a block through **one stacked dense + sparse
+    ``search_strategy`` / ``search_batch_size``: how the mapspace
+    scan evaluates candidates. ``"batched"`` (the default) plans the
+    unpruned candidate stream once — replaying sampled streams from
+    the ``"candidates"`` cache stage instead of re-drawing them — and
+    scans it with :func:`repro.distributed.worker.run_shard`, the one
+    stream scan every batched search shares: candidates are
+    prefiltered a block at a time, witness-dominated draws are
+    withheld and overflow witnesses registered in stream order, and
+    every block of survivors runs through **one stacked dense + sparse
     evaluation** (:meth:`_evaluate_batch`) instead of one numpy pass
-    per candidate — and, on the sampled path, replays
-    the candidate stream from the ``"candidates"`` cache stage instead
-    of re-drawing it. ``"serial"`` is the per-candidate oracle (the
-    exact historical scan); both strategies return a bit-identical
-    winner — same score, same stream index, same result — because the
-    stacked arithmetic is elementwise and the scan preserves candidate
-    order, prefilter decisions, and witness feedback points. The
-    batched strategy keeps its block structure (and the candidate
-    memo) even when the scalar sparse oracle is forced — the stacked
-    flush simply degenerates to per-candidate scalar arithmetic.
+    per candidate. ``"serial"`` is the per-candidate oracle (the exact
+    historical scan, always in-process); both strategies return a
+    bit-identical winner — same score, same stream index, same result
+    — because the stacked arithmetic is elementwise and the scan
+    preserves candidate order, prefilter decisions, and witness
+    feedback. The batched strategy keeps its block structure (and the
+    candidate memo) even when the scalar sparse oracle is forced — the
+    stacked flush simply degenerates to per-candidate scalar
+    arithmetic.
     ``"evolutionary"`` breeds candidates in factorization space
     instead of scanning a fixed stream: population seeded from the
     ``"candidates"`` memo, crossover/mutation honouring
@@ -419,8 +420,11 @@ class Evaluator:
     Batch evaluation: :meth:`evaluate_many` evaluates a list of jobs,
     and it, :meth:`search_mappings`, and :meth:`evaluate_network`
     accept ``parallel=N`` to fan out over ``N`` worker processes in
-    deterministic contiguous chunks (results identical to serial).
-    Workers are pre-warmed with the parent's cache entries.
+    deterministic contiguous chunks (results identical to serial). A
+    batched search's chunks are shards of its planned candidate
+    stream, scanned and merged as :mod:`repro.distributed` does, so
+    its indices and frontier equal the in-process scan's. Workers are
+    pre-warmed with the parent's cache entries.
 
     Stacked pipeline: search blocks, Session batches, and the serve
     daemon share one stacked evaluation pipeline,
@@ -992,10 +996,10 @@ class Evaluator:
         tie-break exactly.
 
         Uses the design's constraints with the built-in mapper unless
-        explicit ``candidates`` are supplied. ``parallel=N``
-        distributes the candidate list over ``N`` worker processes
-        (deterministic: winner and frontier match the serial scan;
-        requires picklable design/workload/objective).
+        explicit ``candidates`` are supplied. ``parallel=N`` runs the
+        batched scan as ``N`` contiguous shards on a process pool (see
+        :meth:`_search_stream`; winner, indices and frontier match the
+        in-process scan; requires picklable design/workload/objective).
 
         ``strategy`` / ``batch_size`` override the evaluator's
         ``search_strategy`` / ``search_batch_size`` for this search
@@ -1003,23 +1007,22 @@ class Evaluator:
         return bit-identical winners, and ``"evolutionary"`` breeds
         candidates from the design's mapspace (see
         :meth:`_search_evolutionary`; explicit ``candidates`` are
-        rejected there, and generations run in-process, so
-        ``parallel`` does not apply).
+        rejected there). The serial oracle and evolutionary
+        generations run in-process, so ``parallel`` does not apply to
+        them.
 
         ``progress`` (when given) is invoked after every evaluated
-        block on the in-process batched path with a dict carrying
+        block of an in-process batched scan with a dict carrying
         ``evaluated`` / ``best_score`` / ``best_index`` /
         ``frontier_size`` — the feed behind streaming search progress
         (CLI ``search -v``, serve progress envelopes). Purely
         observational: the scan never reads anything back from it.
 
         In the mapper-driven path, capacity-prefilter overflows are fed
-        back to the mapper as dominance witnesses, pruning factorization
-        subtrees while the candidate stream is being generated — the
-        batched strategy prefilters each candidate as it is drawn, so
-        witnesses registered inside a block already prune the
-        generation of the next block. (The parallel path materialises
-        candidates up front, so feedback does not apply there.)
+        back to the mapper as dominance witnesses: the serial oracle's
+        live generator prunes whole factorization subtrees, and the
+        batched scan withholds every later draw a witness dominates,
+        so both assign the same stream indices.
         """
         objective = resolve_objective(objective)
         strategy = strategy or self.search_strategy
@@ -1030,72 +1033,45 @@ class Evaluator:
             )
         if batch_size is None:
             batch_size = self.search_batch_size
-        evolutionary = strategy == "evolutionary"
-        if evolutionary and candidates is not None:
+        if strategy == "evolutionary" and candidates is not None:
             raise SpecError(
                 "strategy='evolutionary' breeds candidates from the "
                 "design's mapspace constraints; explicit candidates fix "
                 "the population — scan them with 'serial' or 'batched'"
             )
-        # The strategy alone decides the scan: batch_size=1 still runs
-        # the batched machinery (candidate-stream memo, witness replay)
-        # with single-candidate flushes, and the forced scalar sparse
-        # oracle only degenerates the stacked flush to per-candidate
-        # scalar arithmetic inside analyze_sparse_batch — neither
-        # silently falls back to the serial scan.
-        batched = strategy == "batched"
         frontier = ParetoFrontier(axes=objective.axes)
         mapper: Mapper | None = None
-        replayed = False
-        if candidates is None:
+        exhaustive = False
+        if candidates is None and strategy != "batched":
             mapper = Mapper(workload.einsum, design.arch, design.constraints)
-            space = mapper.mapspace_size_estimate()
-            if space <= self.search_budget * 4:
-                # Exhaustively enumerable: every strategy scans the
-                # whole space, so evolutionary breeding would only
-                # re-propose known genomes — it degenerates to the
-                # batched scan (which is also what makes the three
-                # strategies' frontiers provably agree here).
-                candidates = mapper.enumerate_mappings()
-                if evolutionary:
-                    evolutionary = False
-                    batched = True
-            elif evolutionary:
-                pass  # the evolutionary loop seeds and breeds itself
-            else:
-                stream = (
-                    self._sampled_candidates(design, workload, mapper)
-                    if batched
-                    else None
-                )
-                if stream is not None:
-                    candidates = stream
-                    replayed = True
-                else:
-                    candidates = mapper.sample_mappings(
+            exhaustive = (
+                mapper.mapspace_size_estimate() <= self.search_budget * 4
+            )
+        if strategy == "serial":
+            if mapper is not None:
+                candidates = (
+                    mapper.enumerate_mappings()
+                    if exhaustive
+                    else mapper.sample_mappings(
                         self.search_budget, seed=self.search_seed
                     )
-        if evolutionary:
+                )
+            self._search_candidates(
+                design, workload, candidates, objective, mapper=mapper,
+                frontier=frontier,
+            )
+        elif strategy == "evolutionary" and not exhaustive:
             self._search_evolutionary(
                 design, workload, objective, mapper, frontier,
                 batch_size=batch_size,
             )
-        elif parallel > 1:
-            self._search_parallel(
-                design, workload, list(candidates), objective, parallel,
-                batch_size=batch_size, strategy=strategy,
-                frontier=frontier,
-            )
-        elif batched:
-            self._search_candidates_batched(
-                design, workload, candidates, objective,
-                mapper=mapper, batch_size=batch_size, replayed=replayed,
-                frontier=frontier, progress=progress,
-            )
         else:
-            self._search_candidates(
-                design, workload, candidates, objective, mapper=mapper,
-                frontier=frontier,
+            # An exhaustively enumerable space degrades evolutionary
+            # breeding to the stream scan: every strategy sees the
+            # whole space, which is what makes their frontiers agree.
+            frontier = self._search_stream(
+                design, workload, objective, candidates, parallel,
+                batch_size, progress,
             )
         winner = frontier.best()
         best = (
@@ -1110,6 +1086,74 @@ class Evaluator:
             best=best,
         )
 
+    def _search_stream(
+        self,
+        design: Design,
+        workload: Workload,
+        objective: Objective,
+        candidates: Iterable[Mapping] | None,
+        parallel: int,
+        batch_size: int,
+        progress: Callable[[dict], None] | None,
+    ) -> ParetoFrontier:
+        """The batched stream scan; returns the search's frontier.
+
+        Plans the unpruned candidate stream once
+        (:func:`~repro.distributed.coordinator.plan_search`), splits it
+        into ``parallel`` contiguous shards and scans each with
+        :func:`~repro.distributed.worker.run_shard` — the one scan loop
+        that in-process, pooled, ``Session(shards=K)`` and fleet
+        searches share. A single shard runs inline; several run on the
+        warm-worker pool, where the planned stream crosses once per
+        worker and each task is a ``(start, stop)`` range. Each pooled
+        shard replays its own prefix's prefilter and witness fold, so
+        every shard numbers candidates exactly as the inline scan
+        does, and :func:`~repro.distributed.coordinator.merge_shards`
+        folds the shard frontiers into the inline scan's frontier.
+        """
+        from repro.api.jobs import SearchJob
+        from repro.distributed.coordinator import (
+            _shard_job,
+            merge_shards,
+            plan_search,
+        )
+        from repro.distributed.plan import plan_shards
+        from repro.distributed.worker import run_shard, stream_mapper
+
+        job = SearchJob(
+            design, workload, objective=objective, candidates=candidates,
+            batch_size=max(1, batch_size), strategy="batched",
+        )
+        plan = plan_search(self, job)
+        specs = plan_shards(plan.total, max(1, parallel))
+        shard = _shard_job(self, job, plan, specs[0], "", None)
+        if len(specs) == 1:
+            results = [
+                run_shard(
+                    self, shard, progress=_search_feed(progress),
+                    resolved=(plan.stream, stream_mapper(shard)),
+                )
+            ]
+        else:
+            # Search workers scan the shipped stream and never sample,
+            # so the (potentially large) candidates stage is dead
+            # weight in their warm-up payload.
+            results = self._run_pool(
+                _search_shard_worker,
+                [(spec.start, spec.stop) for spec in specs],
+                exclude_stages=(CANDIDATES_STAGE,),
+                shared={
+                    "evaluator": replace(self, cache=None),
+                    "job": replace(shard, candidates=None),
+                    "candidates": plan.stream,
+                },
+            )
+        frontier = merge_shards(objective, results).frontier
+        winner = frontier.best()
+        if len(specs) > 1 and winner is not None:
+            self._absorb_result(design, workload, winner.result)
+        return frontier
+
     def _sampled_candidates(
         self, design: Design, workload: Workload, mapper: Mapper
     ) -> list[Mapping] | None:
@@ -1121,8 +1165,7 @@ class Evaluator:
         ``"candidates"`` cache stage and replayed by later searches
         (including across SAF variants sharing a mapspace, and across
         processes via the persistent tier). Returns ``None`` when
-        caching is disabled, leaving the generator-driven path in
-        charge.
+        caching is disabled, leaving the caller to sample.
         """
         if self.cache is None:
             return None
@@ -1180,162 +1223,6 @@ class Evaluator:
                 frontier.observe(objective, score, offset + index, result)
             if best is None or score < best[0]:
                 best = (score, offset + index, result)
-        return best
-
-    def _search_candidates_batched(
-        self,
-        design: Design,
-        workload: Workload,
-        candidates: Iterable[Mapping],
-        objective,
-        offset: int = 0,
-        mapper: Mapper | None = None,
-        batch_size: int | None = None,
-        replayed: bool = False,
-        frontier: ParetoFrontier | None = None,
-        progress: Callable[[dict], None] | None = None,
-    ) -> tuple[float, int, EvaluationResult] | None:
-        """Blocked scan returning the same ``(score, global_index,
-        result)`` winner as :meth:`_search_candidates`.
-
-        The scan mirrors the serial oracle step for step — candidates
-        are drawn one at a time, witness-withheld candidates never get
-        a stream index, prefilter overflows register witnesses
-        *immediately* (so generation of later candidates, including the
-        next block's, is already pruned) — but evaluation of prefilter
-        survivors is deferred: each full block runs through the stacked
-        pipeline (:meth:`_evaluate_block`) instead of one numpy pass per
-        candidate. Deferral is sound because
-        evaluation never feeds anything back to the stream; scores are
-        bit-identical because the stacked arithmetic is elementwise and
-        the in-order ``score < best`` comparison reproduces the serial
-        first-strictly-better tie-break exactly.
-
-        ``replayed=True`` marks ``candidates`` as a materialised stream
-        (the ``"candidates"`` memo): the generator's yield-time witness
-        check did not run for it, so this scan applies
-        :meth:`Mapper.mapping_dominated` per candidate to withhold
-        exactly what the live generator would have — keeping stream
-        indices, and therefore tie-breaks, identical.
-
-        With ``prefilter_vectorized`` the prefilter itself runs per
-        *drawn block* (:meth:`_prefilter_block`) instead of per
-        candidate. Drawing a whole block ahead of witness registration
-        would let a live generator yield candidates the serial scan's
-        yield-time witness check would have withheld — exactly those
-        dominated by witnesses registered *inside* the current block —
-        so the scan replays :meth:`Mapper.mapping_dominated` for the
-        rest of the block once any in-block witness registers. The
-        surviving (index, mapping) stream, and with it every score and
-        tie-break, is identical to the serial scan; only the mapper's
-        pruned_subtrees/pruned_candidates *split* may shift (in-block
-        subtree prunes arrive as per-candidate withholds), never their
-        effect.
-        """
-        objective = resolve_objective(objective)
-        if batch_size is None:
-            batch_size = self.search_batch_size
-        batch_size = max(1, batch_size)
-        prefilter = self.prefilter_capacity and self.check_capacity
-
-        def _survivors_scalar() -> Iterable[tuple[int, Mapping]]:
-            # The PR 5 scan: draw one candidate at a time, scalar
-            # prefilter, witnesses registered before the next draw.
-            index = offset - 1
-            for mapping in candidates:
-                if (
-                    replayed
-                    and mapper is not None
-                    and mapper.mapping_dominated(mapping)
-                ):
-                    mapper.pruned_candidates += 1
-                    continue
-                index += 1
-                if prefilter:
-                    overflow = self._capacity_overflow(
-                        design, workload, mapping
-                    )
-                    if overflow is not None:
-                        if mapper is not None and overflow.monotone:
-                            mapper.register_overflow(
-                                overflow.level, overflow.dim_extents
-                            )
-                        continue
-                yield index, mapping
-
-        def _survivors_blocked() -> Iterable[tuple[int, Mapping]]:
-            # Draw whole blocks and prefilter them in one stacked pass.
-            index = offset - 1
-            stream = iter(candidates)
-            while True:
-                drawn = list(islice(stream, batch_size))
-                if not drawn:
-                    return
-                rejects = self._prefilter_block(design, workload, drawn)
-                registered = False
-                for mapping, reject in zip(drawn, rejects):
-                    if (
-                        mapper is not None
-                        and (replayed or registered)
-                        and mapper.mapping_dominated(mapping)
-                    ):
-                        mapper.pruned_candidates += 1
-                        continue
-                    index += 1
-                    if reject is None:
-                        yield index, mapping
-                    elif mapper is not None and reject.monotone:
-                        mapper.register_overflow(
-                            reject.level, reject.witness_extents()
-                        )
-                        registered = True
-
-        survivors = (
-            _survivors_blocked()
-            if prefilter and self.prefilter_vectorized
-            else _survivors_scalar()
-        )
-        # One sparse-walk memo spans the whole search: every candidate
-        # shares (design, workload), so leader-keep probabilities and
-        # per-tile format scalings recur across blocks. Gated with the
-        # vectorized dense backend so the scalar-oracle configuration
-        # stays the plain per-candidate pipeline.
-        memos: dict | None = {} if self.dense_vectorized else None
-        best: tuple[float, int, EvaluationResult] | None = None
-        block: list[tuple[int, Mapping]] = []
-        evaluated = 0
-
-        def _report() -> None:
-            if progress is None:
-                return
-            progress(
-                {
-                    "evaluated": evaluated,
-                    "best_score": None if best is None else best[0],
-                    "best_index": None if best is None else best[1],
-                    "frontier_size": (
-                        None if frontier is None else len(frontier)
-                    ),
-                }
-            )
-
-        for index, mapping in survivors:
-            block.append((index, mapping))
-            if len(block) >= batch_size:
-                best = self._evaluate_block(
-                    design, workload, block, objective, best, memos=memos,
-                    frontier=frontier,
-                )
-                evaluated += len(block)
-                block = []
-                _report()
-        if block:
-            best = self._evaluate_block(
-                design, workload, block, objective, best, memos=memos,
-                frontier=frontier,
-            )
-            evaluated += len(block)
-            _report()
         return best
 
     def _evaluate_block(
@@ -1496,82 +1383,6 @@ class Evaluator:
                 min(pop_size, budget - proposals), seen, config,
             )
         return best
-
-    def _search_parallel(
-        self,
-        design: Design,
-        workload: Workload,
-        candidates: list[Mapping],
-        objective,
-        parallel: int,
-        batch_size: int | None = None,
-        strategy: str | None = None,
-        frontier: ParetoFrontier | None = None,
-    ) -> EvaluationResult | None:
-        objective = resolve_objective(objective)
-        if frontier is None:
-            frontier = ParetoFrontier(axes=objective.axes)
-        if len(candidates) <= 1:
-            best = self._search_candidates(
-                design, workload, candidates, objective, frontier=frontier
-            )
-            return best[2] if best is not None else None
-        chunks = _contiguous_chunks(candidates, parallel)
-        worker = replace(
-            self,
-            cache=None,
-            search_strategy=strategy or self.search_strategy,
-            search_batch_size=(
-                batch_size if batch_size is not None
-                else self.search_batch_size
-            ),
-        )
-        # Zero-pickle fan-out: the read-only search state — evaluator,
-        # design, workload, the full candidate list, the objective —
-        # ships ONCE per worker through the pool initializer (inherited
-        # for free under fork, pickled once per worker under
-        # spawn/forkserver), and each task payload is just a candidate
-        # index range. The old protocol re-pickled the design and the
-        # chunk's mappings into every task.
-        shared = {
-            "evaluator": worker,
-            "design": design,
-            "workload": workload,
-            "candidates": candidates,
-            "objective": objective,
-        }
-        payloads = []
-        offset = 0
-        for chunk in chunks:
-            payloads.append((offset, offset + len(chunk)))
-            offset += len(chunk)
-        # Search range workers receive explicit materialised candidate
-        # lists and never sample, so the (potentially large) candidates
-        # stage is dead weight in their warm-up payload. (Evaluate/
-        # network pools keep it: a constraints-only design makes their
-        # workers run whole searches, where replay pays off.)
-        partials = self._run_pool(
-            _search_range_worker,
-            payloads,
-            exclude_stages=(CANDIDATES_STAGE,),
-            shared=shared,
-        )
-        # Partial frontiers merge exactly (the non-dominated set of a
-        # union is the non-dominated set of the union of per-chunk
-        # non-dominated sets); folding them in chunk order keeps the
-        # first-index representative of every tied vector, so the
-        # frontier's (score, index) minimum reproduces the serial
-        # first-strictly-better tie-breaking exactly.
-        for partial in partials:
-            if partial is None:
-                continue
-            _partial_best, partial_frontier = partial
-            frontier.merge(partial_frontier)
-        winner = frontier.best()
-        if winner is None:
-            return None
-        self._absorb_result(design, workload, winner.result)
-        return winner.result
 
     def _dense_analysis_batch(
         self,
@@ -2292,8 +2103,8 @@ class Evaluator:
         pass the default shipping cap; persistent spills pass ``None``
         for everything). ``exclude_stages`` drops whole stages from the
         payload — search pools use it for the ``candidates`` stage,
-        whose streams their workers can never read (chunk workers get
-        explicit materialised candidate lists). Returns ``None`` when
+        whose streams their workers never read (shard workers get the
+        planned stream). Returns ``None`` when
         caching is disabled (``cache=None``), so workers honour the
         parent's setting instead of silently re-enabling their own
         caches.
@@ -2402,7 +2213,7 @@ class Evaluator:
         ``max_workers=0``).
 
         ``shared`` carries the fan-out's read-only state (evaluator,
-        design, workload, candidates/jobs) to :data:`_WORKER_SHARED`
+        jobs, or a search's shard template and planned stream) to :data:`_WORKER_SHARED`
         through the initializer: it crosses the process boundary once
         per *worker* — by inheritance under fork, as part of the
         initargs pickle under spawn/forkserver — instead of riding in
@@ -2510,9 +2321,9 @@ _WORKER_CACHE: AnalysisCache | None = None
 _WORKER_CACHE_INSTALLED = False
 
 #: Read-only fan-out state installed by the pool initializer (the
-#: zero-pickle worker protocol): evaluator, design, workload, and the
-#: full candidate/job list of the current fan-out. Range workers slice
-#: it by the index ranges their task payloads carry.
+#: zero-pickle worker protocol): the evaluator plus the full job list
+#: or planned candidate stream of the current fan-out. Range workers
+#: slice it by the index ranges their task payloads carry.
 _WORKER_SHARED: dict | None = None
 
 
@@ -2570,30 +2381,43 @@ def _contiguous_chunks(items: list, parts: int) -> list[list]:
     return chunks
 
 
-def _search_range_worker(payload):
-    """Search one candidate index range against the installed
-    fan-out state (:data:`_WORKER_SHARED`).
+_SEARCH_FEED_KEYS = ("evaluated", "best_score", "best_index", "frontier_size")
 
-    Returns ``(best, frontier)`` — the chunk's winner tuple and its
-    partial Pareto frontier. Both scans produce identical partials,
-    so the parallel merge is strategy-agnostic."""
+
+def _search_feed(
+    progress: Callable[[dict], None] | None,
+) -> Callable[[dict], None] | None:
+    """Adapt ``progress`` to the unsharded search feed: after every
+    evaluated block, a dict of ``evaluated`` / ``best_score`` /
+    ``best_index`` / ``frontier_size`` (shard keys and witness
+    snapshots stay internal to the scan)."""
+    if progress is None:
+        return None
+    reported = 0
+
+    def feed(info: dict) -> None:
+        nonlocal reported
+        if info["evaluated"] > reported:
+            reported = info["evaluated"]
+            progress({key: info[key] for key in _SEARCH_FEED_KEYS})
+
+    return feed
+
+
+def _search_shard_worker(payload):
+    """Scan one ``(start, stop)`` shard of the installed search's
+    planned stream (:data:`_WORKER_SHARED`) with
+    :func:`~repro.distributed.worker.run_shard`."""
+    from repro.distributed.worker import run_shard, stream_mapper
+
     start, stop = payload
     shared = _WORKER_SHARED
     evaluator = _bind_worker_cache(shared["evaluator"])
-    chunk = shared["candidates"][start:stop]
-    objective = resolve_objective(shared["objective"])
-    frontier = ParetoFrontier(axes=objective.axes)
-    if evaluator.search_strategy == "batched":
-        best = evaluator._search_candidates_batched(
-            shared["design"], shared["workload"], chunk,
-            objective, offset=start, frontier=frontier,
-        )
-    else:
-        best = evaluator._search_candidates(
-            shared["design"], shared["workload"], chunk,
-            objective, offset=start, frontier=frontier,
-        )
-    return best, frontier
+    # Shards are contiguous, so their starts order them as their ids do.
+    job = replace(shared["job"], shard_id=start, start=start, stop=stop)
+    return run_shard(
+        evaluator, job, resolved=(shared["candidates"], stream_mapper(job))
+    )
 
 
 def _evaluate_range_worker(payload):

@@ -85,6 +85,20 @@ class TestSearchCommand:
         out = capsys.readouterr().out
         assert "best mapping" in out and "cycles" in out
 
+    def test_search_verbose_prints_progress(self, spec_file, capsys):
+        """``search -v`` streams one ``search:`` line per evaluated
+        block; unsharded searches never report shard state."""
+        assert main(
+            ["search", spec_file, "--budget", "64", "--cold", "-v"]
+        ) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) > 1
+        for line in lines:
+            assert line.startswith("  search: "), line
+            assert "evaluated, best " in line and "frontier " in line
+        counts = [int(line.split()[1]) for line in lines]
+        assert counts == sorted(set(counts))
+
     def test_search_seed_changes_sampling(self, spec_file):
         # Just proving the flag is wired through; both must succeed.
         assert main(

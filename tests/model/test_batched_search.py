@@ -14,16 +14,18 @@ from __future__ import annotations
 import pytest
 
 from repro import Design, SAFSpec, Session, Workload, matmul
-from repro.api.jobs import SearchJob
+from repro.api.jobs import SearchJob, SearchShardJob
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.common.cache import AnalysisCache
 from repro.common.errors import SpecError
+from repro.distributed.worker import run_shard
 from repro.mapping.mapspace import (
     CANDIDATES_STAGE,
     Mapper,
     MapspaceConstraints,
     sampled_candidates_key,
 )
+from repro.model import engine as engine_module
 from repro.model.engine import Evaluator
 from repro.sparse.formats import CoordinatePayload, FormatRank, FormatSpec
 from repro.sparse.saf import SAFKind, double_sided, gate_compute, skip_compute
@@ -84,6 +86,21 @@ def _exhaustive_case():
         "exhaustive", arch, SAFSpec(), constraints=MapspaceConstraints()
     )
     return design, workload
+
+
+def _stream_scan(evaluator, design, workload, stream, mapper, batch_size):
+    """``(score, index, result)`` winner of the batched stream scan over
+    the whole of ``stream`` with ``mapper``'s witness bookkeeping, or
+    ``None`` when no candidate is valid."""
+    stream = list(stream)
+    job = SearchShardJob(
+        design=design, workload=workload, stop=len(stream),
+        total=len(stream), batch_size=batch_size,
+    )
+    winner = run_shard(
+        evaluator, job, resolved=(stream, mapper)
+    ).frontier.best()
+    return None if winner is None else (winner.score, winner.index, winner.result)
 
 
 def _winner_tuple(evaluator, design, workload, strategy, **kwargs):
@@ -157,16 +174,13 @@ class TestBatchedEqualsSerial:
         )
         for batch_size in (2, 5, 7, 64):
             mapper = Mapper(einsum, arch, design.constraints)
-            batched = Evaluator(
-                search_budget=BUDGET
-            )._search_candidates_batched(
+            batched = _stream_scan(
+                Evaluator(search_budget=BUDGET),
                 design,
                 workload,
                 stream,
-                None,
-                mapper=mapper,
-                batch_size=batch_size,
-                replayed=True,
+                mapper,
+                batch_size,
             )
             assert batched is not None
             assert batched[0] == serial[0]
@@ -187,15 +201,13 @@ class TestBatchedEqualsSerial:
             mapper=serial_mapper,
         )
         batched_mapper = Mapper(einsum, arch, design.constraints)
-        batched = Evaluator(
-            search_budget=BUDGET
-        )._search_candidates_batched(
+        batched = _stream_scan(
+            Evaluator(search_budget=BUDGET),
             design,
             workload,
             batched_mapper.enumerate_mappings(),
-            None,
-            mapper=batched_mapper,
-            batch_size=4,
+            batched_mapper,
+            4,
         )
         assert serial is not None and batched is not None
         assert batched[:2] == serial[:2]
@@ -378,8 +390,8 @@ class TestCandidatesMemo:
         assert evaluator._sampled_candidates(design, workload, mapper) is None
 
     def test_search_pool_payload_excludes_candidate_streams(self):
-        """Search chunk workers get explicit materialised candidate
-        lists and never sample, so the candidates stage is dropped from
+        """Search shard workers get the parent's planned stream and
+        never sample, so the candidates stage is dropped from
         their warm-up payload (it stays in full exports — persistent
         spills and evaluate/network pools, whose workers may search)."""
         design, workload = _sampled_cases()[0]
@@ -419,13 +431,13 @@ class TestWitnessFeedbackAcrossBlocks:
     def test_witnesses_registered_and_counted_in_batched_path(self):
         design, workload = _exhaustive_case()
         mapper = Mapper(workload.einsum, design.arch, design.constraints)
-        best = Evaluator(search_budget=BUDGET)._search_candidates_batched(
+        best = _stream_scan(
+            Evaluator(search_budget=BUDGET),
             design,
             workload,
             mapper.enumerate_mappings(),
-            None,
-            mapper=mapper,
-            batch_size=4,
+            mapper,
+            4,
         )
         assert best is not None
         assert mapper.overflow_witness_count > 0
@@ -447,9 +459,8 @@ class TestWitnessFeedbackAcrossBlocks:
 
         mapper = Mapper(workload.einsum, arch, None)
         evaluator = Evaluator(search_budget=40)
-        batched = evaluator._search_candidates_batched(
-            design, workload, stream, None,
-            mapper=mapper, batch_size=4, replayed=True,
+        batched = _stream_scan(
+            evaluator, design, workload, stream, mapper, 4
         )
         assert mapper.overflow_witness_count > 0
         assert mapper.pruned_candidates > 0
@@ -514,6 +525,20 @@ class TestSessionKnobs:
         assert a.cycles == b.cycles == c.cycles
         assert a.energy_pj == b.energy_pj == c.energy_pj
 
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_progress_feed_keys(self, parallel):
+        """Unsharded searches report only the four-key feed."""
+        design, workload = _sampled_cases()[0]
+        frames = []
+        with Session(search_budget=BUDGET) as session:
+            session.search(
+                design, workload, batch_size=4, parallel=parallel,
+                on_progress=frames.append,
+            )
+        keys = {"evaluated", "best_score", "best_index", "frontier_size"}
+        assert all(set(frame) == keys for frame in frames)
+        assert frames or parallel
+
     def test_unknown_strategy_surfaces_on_handle(self):
         design, workload = _sampled_cases()[0]
         with Session(search_budget=BUDGET) as session:
@@ -521,3 +546,33 @@ class TestSessionKnobs:
                 SearchJob(design, workload, strategy="annealing")
             )
             assert isinstance(handle.exception(), SpecError)
+
+
+class TestExplicitCandidatesPrefilter:
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_explicit_candidates_use_blocked_prefilter(
+        self, monkeypatch, shards
+    ):
+        """Explicit candidates share the mapper stream's stacked
+        prefilter: no per-candidate ``_capacity_overflow`` scan."""
+        monkeypatch.setattr(engine_module, "PREFILTER_VECTORIZED_DEFAULT", True)
+        calls = []
+        scalar = Evaluator._capacity_overflow
+
+        def counting(self, *args):
+            calls.append(args)
+            return scalar(self, *args)
+
+        monkeypatch.setattr(Evaluator, "_capacity_overflow", counting)
+        design, workload = _sampled_cases()[0]
+        candidates = list(
+            Mapper(
+                workload.einsum, design.arch, design.constraints
+            ).sample_mappings(BUDGET, seed=0)
+        )
+        with Session() as session:
+            result = session.search(
+                design, workload, candidates=candidates, shards=shards
+            )
+        assert result.best is not None
+        assert calls == []

@@ -39,6 +39,17 @@ def _sampled_case():
     return design, workload
 
 
+def _withheld_case():
+    """A sampled mapspace whose 1024-word buffer overflows early, so
+    overflow witnesses withhold later draws before the winner."""
+    workload = Workload.uniform(matmul(128, 128, 128), {"A": 0.2, "B": 0.2})
+    design = Design(
+        "withheld", _arch(buffer_words=1024, macs=1),
+        SAFSpec(), constraints=MapspaceConstraints(),
+    )
+    return design, workload
+
+
 def _exhaustive_case():
     workload = Workload.uniform(matmul(8, 8, 8), {"A": 0.5, "B": 0.5})
     design = Design(
@@ -92,16 +103,37 @@ class TestMultiObjective:
             for p in outcome.frontier.ordered()
         )
 
-    def test_parallel_frontier_matches_serial(self):
-        design, workload = _sampled_case()
+    @pytest.mark.parametrize("case", [_sampled_case, _withheld_case])
+    def test_parallel_frontier_matches_serial(self, case):
+        """Pooled shards number candidates as the in-process scan and
+        the serial oracle do, even when witnesses withhold draws."""
+        design, workload = case()
         solo = Evaluator(search_budget=BUDGET)._search_full(
             design, workload, objective=("energy", "cycles"),
         )
         fanned = Evaluator(search_budget=BUDGET)._search_full(
             design, workload, objective=("energy", "cycles"), parallel=2
         )
+        oracle = Evaluator(search_budget=BUDGET)._search_full(
+            design, workload, objective=("energy", "cycles"),
+            strategy="serial",
+        )
         assert solo.frontier.to_dict() == fanned.frontier.to_dict()
+        assert solo.frontier.to_dict() == oracle.frontier.to_dict()
         assert solo.best_score == fanned.best_score
+        assert solo.best_index == fanned.best_index == oracle.best_index
+
+    def test_batched_override_of_evolutionary_default(self):
+        """A per-search ``strategy="batched"`` scans the sampled stream
+        even when the evaluator defaults to evolutionary breeding."""
+        design, workload = _sampled_case()
+        outcome = Evaluator(
+            search_budget=BUDGET, search_strategy="evolutionary"
+        )._search_full(design, workload, strategy="batched")
+        batched = _outcome("batched")
+        assert outcome.strategy == "batched"
+        assert outcome.best_index == batched.best_index
+        assert outcome.frontier.to_dict() == batched.frontier.to_dict()
 
 
 class TestExhaustiveAgreement:
