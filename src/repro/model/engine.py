@@ -1,6 +1,7 @@
 """The Sparseloop evaluation engine (Fig. 5).
 
-``Evaluator.evaluate`` runs the three decoupled modeling steps:
+:class:`Evaluator` runs the three decoupled modeling steps stage by
+stage over a batch of jobs (:meth:`Evaluator._evaluate_batch`):
 
 1. dataflow modeling (dense traffic from the mapping),
 2. sparse modeling (SAF filtering with statistical density models),
@@ -33,12 +34,12 @@ and over with different SAF configurations:
   convention.
 * persistent tier — pass ``persistent=PersistentCache(...)`` (and call
   :meth:`Evaluator.warm_start` / :meth:`Evaluator.spill_cache`, or let
-  :meth:`Evaluator.evaluate_network` do both around its fan-out) to
-  spill cache snapshots to a versioned on-disk store so repeated CLI
-  runs, sweeps, and CI jobs start warm. Snapshot identity comes from
+  the network path do both around its fan-out) to spill cache
+  snapshots to a versioned on-disk store so repeated CLI runs, sweeps,
+  and CI jobs start warm. Snapshot identity comes from
   :func:`persistent_state_key`; worker initializers reopen the same
   store so even first-touch parallel runs warm from disk.
-* capacity pre-filter — ``search_mappings`` rejects candidates whose
+* capacity pre-filter — the mapspace search rejects candidates whose
   *lower-bound* tile footprint already overflows a storage level
   before running the full dense→sparse→micro pipeline. The bound is
   strictly optimistic (payload-only, statistical occupancy), so no
@@ -48,12 +49,12 @@ and over with different SAF configurations:
   (``register_overflow``) so whole factorization subtrees dominated by
   the failing tile shape are pruned instead of being rejected one by
   one.
-* batch/parallel APIs — :meth:`Evaluator.evaluate_many` and
-  ``search_mappings(..., parallel=N)`` fan work out over a process
-  pool in deterministic contiguous chunks; results (including search
-  tie-breaking) are identical to the serial order. Worker processes
-  start *warm*: the parent ships its hottest cache entries (dense,
-  sparse, and the process-global tile-format stage) through the pool
+* process pools — batch evaluation and searches at ``parallel=N``
+  fan work out over a process pool in deterministic contiguous
+  ranges; results (including per-job errors and search tie-breaking)
+  are identical to the in-process order. Worker processes start
+  *warm*: the parent ships its hottest cache entries (dense, sparse,
+  and the process-global tile-format stage) through the pool
   initializer. Parallel mode requires picklable designs/workloads/
   objectives (module-level functions, not lambdas).
 """
@@ -63,7 +64,6 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -153,29 +153,9 @@ PREFILTER_VECTORIZED_DEFAULT = os.environ.get(
 ).lower() in ("", "0", "false", "no", "off")
 
 #: Marker default of :meth:`Evaluator._evaluate_batch`'s ``memos``
-#: (never written to): the call keeps fresh sparse-walk memos of its
-#: own.
+#: (never written to): a call of two or more jobs keeps fresh
+#: sparse-walk memos of its own.
 _CALL_MEMOS: dict = {}
-
-#: Entry points that already emitted their deprecation warning this
-#: process (so heavy sweeps through legacy call sites warn once, not
-#: once per evaluation). Tests reset this to re-assert the warning.
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    """Emit the once-per-process deprecation warning for a legacy
-    :class:`Evaluator` entry point."""
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"Evaluator.{name}() is deprecated; use {replacement} from "
-        "repro.api instead (see docs/api.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 @dataclass
 class Design:
@@ -351,7 +331,7 @@ class Evaluator:
     (``Evaluator(cache=None)`` to disable, a shared ``AnalysisCache``
     to pool) — while the ``dense_cache`` *accessor* remains for
     stats/inspection of the dense stage.
-    ``prefilter_capacity``: in ``search_mappings``, cheaply reject
+    ``prefilter_capacity``: in the mapspace search, cheaply reject
     candidates whose optimistic tile footprint already overflows a
     finite storage level, skipping the full pipeline — and feed the
     overflow reason back to the mapper to prune dominated factorization
@@ -410,29 +390,28 @@ class Evaluator:
     ``persistent``: an optional
     :class:`~repro.common.cache.PersistentCache` on-disk tier.
     :meth:`warm_start` loads a snapshot into the in-memory cache and
-    :meth:`spill_cache` writes one back; :meth:`evaluate_network` does
+    :meth:`spill_cache` writes one back; :meth:`_evaluate_network` does
     both automatically, and parallel fan-outs hand the store to worker
     initializers so workers can warm from disk.
     ``persistent_key``: the snapshot identity used when
     :meth:`warm_start`/:meth:`spill_cache` are called without an
     explicit key (set automatically by the first keyed call).
 
-    Batch evaluation: :meth:`evaluate_many` evaluates a list of jobs,
-    and it, :meth:`search_mappings`, and :meth:`evaluate_network`
-    accept ``parallel=N`` to fan out over ``N`` worker processes in
-    deterministic contiguous chunks (results identical to serial). A
+    Batch evaluation: :meth:`_evaluate_many` evaluates a list of jobs,
+    and it, :meth:`_search_full`, and :meth:`_evaluate_network` accept
+    ``parallel=N`` to fan out over ``N`` worker processes in
+    deterministic contiguous ranges (results identical to serial). A
     batched search's chunks are shards of its planned candidate
     stream, scanned and merged as :mod:`repro.distributed` does, so
     its indices and frontier equal the in-process scan's. Workers are
     pre-warmed with the parent's cache entries.
 
-    Stacked pipeline: search blocks, Session batches, and the serve
-    daemon share one stacked evaluation pipeline,
-    :meth:`_evaluate_batch` (one dense pass, one sparse pass, then the
-    micro tail). Walk-memo rule: a search keeps one sparse-walk memo
-    per walk context across all its blocks when ``dense_vectorized``
-    is set and none otherwise, while a batch call keeps fresh memos
-    for that call only.
+    Stacked pipeline: every evaluation (:meth:`_evaluate` is a batch of
+    one) runs through :meth:`_evaluate_batch` (one dense pass, one
+    sparse pass, then the micro tail). Walk-memo rule: a search keeps
+    one sparse-walk memo per walk context across all its blocks when
+    ``dense_vectorized`` is set and none otherwise, while a batch call
+    of two or more jobs keeps fresh memos for that call only.
     """
 
     check_capacity: bool = True
@@ -467,48 +446,41 @@ class Evaluator:
         """The sparse analysis stage, or ``None`` when disabled."""
         return self.cache.sparse if self.cache is not None else None
 
-    def evaluate(
-        self,
-        design: Design,
-        workload: Workload,
-        mapping: Mapping | None = None,
-    ) -> EvaluationResult:
-        """Deprecated entry point; use :class:`repro.api.Session`.
-
-        Delegates to the same implementation the Session submits to, so
-        results are identical; warns (once per process) to steer new
-        code at the façade.
-        """
-        _warn_deprecated("evaluate", "Session.evaluate / Session.submit")
-        return self._evaluate(design, workload, mapping)
-
     def _evaluate(
         self,
         design: Design,
         workload: Workload,
         mapping: Mapping | None = None,
     ) -> EvaluationResult:
-        """Evaluate one design on one workload.
+        """Evaluate one design on one workload: a batch of one through
+        :meth:`_evaluate_batch`, raising the job's error.
 
         ``mapping`` overrides the design's own mapping policy. If the
         design carries only mapspace constraints, the mapper searches
         for the lowest-EDP valid mapping.
         """
-        mapping = mapping or design.mapping_for(workload)
-        if mapping is None:
-            if design.constraints is None:
-                raise SpecError(
-                    f"design {design.name!r} has no mapping, factory, or "
-                    "constraints"
-                )
-            result = self._search_mappings(design, workload)
-            if result is None:
-                raise MappingError(
-                    f"no valid mapping found for {design.name!r} on "
-                    f"{workload.name!r} within budget {self.search_budget}"
-                )
-            return result
-        return self._evaluate_mapping(design, workload, mapping)
+        [(result, error)] = self._evaluate_batch([(design, workload, mapping)])
+        if error is not None:
+            raise error
+        return result
+
+    def _search_best(
+        self, design: Design, workload: Workload
+    ) -> EvaluationResult:
+        """The evaluation of a job with no mapping of its own: the
+        mapper's lowest-EDP valid mapping of ``design.constraints``."""
+        if design.constraints is None:
+            raise SpecError(
+                f"design {design.name!r} has no mapping, factory, or "
+                "constraints"
+            )
+        result = self._search_mappings(design, workload)
+        if result is None:
+            raise MappingError(
+                f"no valid mapping found for {design.name!r} on "
+                f"{workload.name!r} within budget {self.search_budget}"
+            )
+        return result
 
     def _dense_analysis(
         self, design: Design, workload: Workload, mapping: Mapping
@@ -935,23 +907,6 @@ class Evaluator:
 
     # ------------------------------------------------------------------
     # Mapspace search
-
-    def search_mappings(
-        self,
-        design: Design,
-        workload: Workload,
-        objective: Callable[[EvaluationResult], float] | None = None,
-        candidates: Iterable[Mapping] | None = None,
-        parallel: int = 1,
-        batch_size: int | None = None,
-        strategy: str | None = None,
-    ) -> EvaluationResult | None:
-        """Deprecated entry point; use :meth:`repro.api.Session.search`."""
-        _warn_deprecated("search_mappings", "Session.search / SearchJob")
-        return self._search_mappings(
-            design, workload, objective, candidates, parallel,
-            batch_size=batch_size, strategy=strategy,
-        )
 
     def _search_mappings(
         self,
@@ -1419,20 +1374,19 @@ class Evaluator:
                     dense_analysis_key(workload, design.arch, mapping)
                 )
                 keys[position] = key
-                if key in stage:  # peek: accounting handled per branch
-                    cached = stage.get(key)  # counts the hit
+                cached = stage.get(key)  # counts a hit or the serial miss
+                if cached is not None:
                     out[position] = (replace(cached, workload=workload), key)
                     continue
-                first = first_by_key.get(key)
-                if first is not None:
+                first = first_by_key.setdefault(key, position)
+                if first != position:
                     # Serial accounting: the first occurrence computes
                     # and installs before the scan reaches this
                     # duplicate — a hit, not a miss.
+                    stage.misses -= 1
                     stage.hits += 1
                     followers.setdefault(first, []).append(position)
                     continue
-                first_by_key[key] = position
-                stage.misses += 1  # the serial get-before-compute miss
             compute_positions.append(position)
         if compute_positions:
             try:
@@ -1493,8 +1447,8 @@ class Evaluator:
         workload content (einsum and densities), SAF spec, and
         architecture — only the mapping differs. Each context's walk
         memo is ``memos[context]`` (created on first use); ``memos=None``
-        walks without one. Computed entries install only after every
-        context has flushed, so should a flush fail, rolling back the
+        walks without one, all contexts in one pass. Computed entries
+        install only after every pass has flushed, so should a flush fail, rolling back the
         stage accounting of the aborted attempt restores the exact
         pre-pass state, and every entry recounts through the serial
         oracle so the error lands on exactly the entries that caused
@@ -1518,36 +1472,41 @@ class Evaluator:
                     key = CachedHashKey(raw)
             keys[position] = key
             if key is not None:
-                if key in stage:  # peek: accounting handled per branch
-                    sparses[position] = stage.get(key)  # counts the hit
+                cached = stage.get(key)  # counts a hit or the serial miss
+                if cached is not None:
+                    sparses[position] = cached
                     continue
-                first = first_by_key.get(key)
-                if first is not None:
+                first = first_by_key.setdefault(key, position)
+                if first != position:
                     # Serial accounting: by the time the scan reached
                     # this duplicate, the first occurrence had computed
                     # and installed the entry — a hit, not a miss.
+                    stage.misses -= 1
                     stage.hits += 1
                     followers.setdefault(first, []).append(position)
                     continue
-                first_by_key[key] = position
-                stage.misses += 1  # the serial get-before-compute miss
             compute_positions.append(position)
         # The sparse key is (dense key = (einsum, arch, mapping), SAF
         # key, density keys), so dropping the mapping component leaves
         # exactly the context the walk memo is pure over (see
         # analyze_sparse_batch). Keyless entries (no cache, or
         # uncacheable densities) group by object identity instead.
-        groups: dict[tuple, list[int]] = {}
-        for position in compute_positions:
-            key = keys[position]
-            if key is None:
-                design, dense, _dense_key = entries[position]
-                context = (id(design), id(dense.workload))
-            else:
-                dense_component, safs_key, density_keys = key.key
-                einsum_key, arch_key, _mapping_key = dense_component.key
-                context = (einsum_key, arch_key, safs_key, density_keys)
-            groups.setdefault(context, []).append(position)
+        # Without memos no walk state is shared: one flush serves all.
+        groups: dict[tuple | None, list[int]] = {}
+        if memos is None:
+            if compute_positions:
+                groups[None] = compute_positions
+        else:
+            for position in compute_positions:
+                key = keys[position]
+                if key is None:
+                    design, dense, _dense_key = entries[position]
+                    context = (id(design), id(dense.workload))
+                else:
+                    dense_component, safs_key, density_keys = key.key
+                    einsum_key, arch_key, _mapping_key = dense_component.key
+                    context = (einsum_key, arch_key, safs_key, density_keys)
+                groups.setdefault(context, []).append(position)
         flushes: list[tuple[list[int], list[SparseTraffic]]] = []
         try:
             for context, positions in groups.items():
@@ -1592,46 +1551,49 @@ class Evaluator:
 
         Each job is ``(design, workload[, mapping])`` — the
         :meth:`_evaluate` signature. This is the engine's one stacked
-        pipeline: search blocks (:meth:`_evaluate_block`), Session
-        batches, and the serve daemon's micro-batches all run through
-        it. It runs stage by stage across the whole batch: mappings
-        resolve first (constraints-only designs fall back to the
-        ordinary search path), the dense misses of the batch stack
+        pipeline: single evaluations (:meth:`_evaluate`), pool workers,
+        search blocks (:meth:`_evaluate_block`), Session batches, and
+        the serve daemon's micro-batches all run through it. It runs
+        stage by stage across the whole batch: mappings resolve first
+        (constraints-only designs run the mapspace search,
+        :meth:`_search_best`), the dense misses of the batch stack
         through one :meth:`_dense_analysis_batch` pass, the sparse
         misses through one :meth:`_sparse_analysis_batch` pass, and the
         micro tail finishes each job. Every per-job outcome —
         including :class:`~repro.common.errors.ReproError` failures
         such as capacity overflows — and every stage's cache
-        accounting match a loop of serial :meth:`_evaluate` calls bit
-        for bit; only the grouping of the numpy arithmetic changes,
-        and the stacked backends are the proven-bit-identical
+        accounting match a loop of the serial oracle
+        (:meth:`_evaluate_mapping`) bit for bit; only the grouping of
+        the numpy arithmetic changes, and the stacked backends are the
+        proven-bit-identical
         :func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`
         and :func:`~repro.sparse.postprocess.analyze_sparse_batch`.
 
         ``memos`` holds one sparse-walk memo per walk context: by
-        default the call keeps fresh ones of its own, a search passes
-        one dict across all its blocks, and ``None`` walks without a
-        memo.
+        default a call of two or more jobs keeps fresh ones of its own
+        (a batch of one has nothing to share them with), a search
+        passes one dict across all its blocks, and ``None`` walks
+        without one.
 
         Returns one ``(result, error)`` pair per job, in job order
         (exactly one side is non-``None``). This is the micro-batching
         core of the serving daemon: N concurrent clients' evaluate
         jobs resolve through one call.
         """
-        if memos is _CALL_MEMOS:
-            memos = {}
         jobs = list(jobs)
-        outcomes: list[tuple | None] = [None] * len(jobs)
+        count = len(jobs)
+        if memos is _CALL_MEMOS:
+            memos = {} if count > 1 else None
+        outcomes: list[tuple | None] = [None] * count
         staged: list[tuple[int, Design, Workload, Mapping]] = []
-        for index, job in enumerate(jobs):
-            design, workload = job[0], job[1]
-            mapping = job[2] if len(job) > 2 else None
+        for index, (design, workload, *override) in enumerate(jobs):
+            mapping = override[0] if override else None
             try:
                 mapping = mapping or design.mapping_for(workload)
                 if mapping is None:
                     # Constraints-driven (or absent) mapping policy:
                     # the search path owns this job end to end.
-                    outcomes[index] = (self._evaluate(design, workload), None)
+                    outcomes[index] = (self._search_best(design, workload), None)
                     continue
             except ReproError as exc:
                 outcomes[index] = (None, exc)
@@ -1678,66 +1640,45 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Batch evaluation
 
-    def evaluate_many(
-        self,
-        jobs: Sequence[tuple],
-        parallel: int = 1,
-    ) -> list[EvaluationResult]:
-        """Deprecated entry point; use
-        :meth:`repro.api.Session.submit_many`."""
-        _warn_deprecated("evaluate_many", "Session.submit_many")
-        return self._evaluate_many(jobs, parallel)
-
     def _evaluate_many(
         self,
         jobs: Sequence[tuple],
         parallel: int = 1,
-    ) -> list[EvaluationResult]:
-        """Evaluate a batch of jobs, preserving order.
+    ) -> list[tuple[EvaluationResult | None, ReproError | None]]:
+        """:meth:`_evaluate_batch` over a batch of jobs, optionally
+        fanned out over worker processes.
 
         Each job is ``(design, workload)`` or ``(design, workload,
-        mapping)`` — the same signature as :meth:`evaluate`.
-        ``parallel=N`` splits the batch into ``N`` deterministic
-        contiguous chunks evaluated in worker processes; results are
-        reassembled in job order and match the serial run exactly.
-        Workers start with the parent's hottest cache entries.
+        mapping)`` — the :meth:`_evaluate` signature. Returns one
+        ``(result, error)`` pair per job, in job order. ``parallel=N``
+        splits the batch into ``N`` deterministic contiguous ranges,
+        each run through :meth:`_evaluate_batch` in a worker process
+        that starts with the parent's hottest cache entries; a failing
+        job fails only its own slot, and the outcomes match the
+        in-process batch exactly.
         """
         jobs = list(jobs)
         if parallel <= 1 or len(jobs) <= 1:
-            return [self._evaluate(*job) for job in jobs]
-        chunks = _contiguous_chunks(jobs, parallel)
-        worker = replace(self, cache=None)
+            return self._evaluate_batch(jobs)
+        from repro.distributed.plan import plan_shards
+
         # Zero-pickle fan-out: jobs (designs + workloads) ship once per
-        # worker via the initializer; task payloads are index ranges.
-        shared = {"evaluator": worker, "jobs": jobs}
-        payloads = []
-        offset = 0
-        for chunk in chunks:
-            payloads.append((offset, offset + len(chunk)))
-            offset += len(chunk)
+        # worker via the initializer; task payloads are index ranges,
+        # split as a search's shards are.
+        ranges = plan_shards(len(jobs), parallel)
         partials = self._run_pool(
-            _evaluate_range_worker, payloads, shared=shared
+            _evaluate_range_worker,
+            [(spec.start, spec.stop) for spec in ranges],
+            shared={"evaluator": replace(self, cache=None), "jobs": jobs},
         )
-        results = [result for chunk in partials for result in chunk]
+        outcomes = [outcome for chunk in partials for outcome in chunk]
         # Results were computed in workers; fold them back into the
         # parent cache so follow-up serial evaluations hit and
         # persistent spills capture what the fan-out derived.
-        for job, result in zip(jobs, results):
-            self._absorb_result(job[0], job[1], result)
-        return results
-
-    def evaluate_network(
-        self,
-        design: Design,
-        layers,
-        densities_for: Callable[[object], dict[str, float]],
-        parallel: int = 1,
-    ) -> list[tuple[object, EvaluationResult]]:
-        """Deprecated entry point; use
-        :meth:`repro.api.Session.evaluate_network` (which returns a
-        serializable :class:`~repro.model.result.NetworkResult`)."""
-        _warn_deprecated("evaluate_network", "Session.evaluate_network")
-        return self._evaluate_network(design, layers, densities_for, parallel)
+        for job, (result, _error) in zip(jobs, outcomes):
+            if result is not None:
+                self._absorb_result(job[0], job[1], result)
+        return outcomes
 
     def _evaluate_network(
         self,
@@ -1754,7 +1695,8 @@ class Evaluator:
         ``densities_for(layer)`` supplies per-tensor densities. Results
         aggregate per layer; total latency/energy multiply by layer
         repeat counts. ``parallel=N`` fans the layers out over worker
-        processes via :meth:`evaluate_many`.
+        processes via :meth:`_evaluate_many`; the first failing layer's
+        error (in layer order) is raised.
 
         Layers with identical content — same einsum, same densities,
         and the same mapping the design resolves for them — are
@@ -1811,30 +1753,20 @@ class Evaluator:
             )
             if spill_key is not None:
                 self.warm_start(spill_key)
-        results = self._evaluate_many(unique_jobs, parallel=parallel)
+        outcomes = self._evaluate_many(unique_jobs, parallel=parallel)
+        for _result, error in outcomes:
+            if error is not None:
+                raise error
         if spill_key is not None:
             self.spill_cache(spill_key)
 
         paired = []
         for layer, workload, index in zip(layers, workloads, job_of_layer):
-            result = results[index]
+            result = outcomes[index][0]
             if result.workload_name != workload.name:
                 result = replace(result, workload_name=workload.name)
             paired.append((layer, result))
         return paired
-
-    def evaluate_fused(
-        self,
-        design: Design,
-        graph,
-        densities: dict[str, float] | None = None,
-        fused=None,
-        parallel: int = 1,
-    ):
-        """Deprecated entry point; use
-        :meth:`repro.api.Session.evaluate_fused`."""
-        _warn_deprecated("evaluate_fused", "Session.evaluate_fused")
-        return self._evaluate_fused(design, graph, densities, fused, parallel)
 
     def _evaluate_fused(
         self,
@@ -2364,23 +2296,6 @@ def _bind_worker_cache(evaluator: Evaluator) -> Evaluator:
     return replace(evaluator, cache=_WORKER_CACHE)
 
 
-def _contiguous_chunks(items: list, parts: int) -> list[list]:
-    """Split ``items`` into at most ``parts`` contiguous, near-equal,
-    non-empty chunks (deterministic); an empty ``items`` yields no
-    chunks at all."""
-    if not items:
-        return []
-    parts = max(1, min(parts, len(items)))
-    size, extra = divmod(len(items), parts)
-    chunks = []
-    start = 0
-    for i in range(parts):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(items[start:end])
-        start = end
-    return chunks
-
-
 _SEARCH_FEED_KEYS = ("evaluated", "best_score", "best_index", "frontier_size")
 
 
@@ -2421,9 +2336,10 @@ def _search_shard_worker(payload):
 
 
 def _evaluate_range_worker(payload):
-    """Evaluate one job index range against the installed fan-out
-    state (:data:`_WORKER_SHARED`)."""
+    """Run one ``(start, stop)`` job range of the installed fan-out
+    state (:data:`_WORKER_SHARED`) through
+    :meth:`Evaluator._evaluate_batch`; returns its outcome pairs."""
     start, stop = payload
     shared = _WORKER_SHARED
     evaluator = _bind_worker_cache(shared["evaluator"])
-    return [evaluator._evaluate(*job) for job in shared["jobs"][start:stop]]
+    return evaluator._evaluate_batch(shared["jobs"][start:stop])

@@ -10,19 +10,22 @@ and search/network jobs reproduce the engine exactly.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 import yaml
 
 from repro import (
+    Architecture,
+    ComputeLevel,
     Design,
     EvaluateJob,
     Evaluator,
     MapspaceConstraints,
     NetworkJob,
     Session,
+    StorageLevel,
+    Workload,
     load_design,
+    matmul,
 )
 from repro.api import evaluate_network
 from repro.common.cache import AnalysisCache, PersistentCache
@@ -33,7 +36,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.model.result import NetworkResult, SearchResult
-from repro.workload.nets import alexnet
+from repro.workload.nets import NetLayer, alexnet
 from tests.io.test_yaml_spec import FULL_SPEC
 
 
@@ -173,13 +176,46 @@ class TestJobHandles:
             assert orphan.exception() is boom
 
     def test_parallel_batch_with_failures_attributes_them(self):
-        # A pooled batch containing a capacity-overflow job falls back
-        # to serial execution, attributing the failure to the one job
-        # that caused it.
+        # A pooled batch containing a capacity-overflow job attributes
+        # the failure to the one job that caused it.
         with Session(parallel=2) as session:
             ok = session.submit(FULL_SPEC)
             bad = session.submit(_overflow_spec())
             assert ok.exception() is None
+            assert isinstance(bad.exception(), ValidationError)
+
+    def test_parallel_batch_with_failures_evaluates_once(self, monkeypatch):
+        # The workers capture the failing job's error in its own slot,
+        # so the parent never re-runs the batch in-process. The spy is
+        # on the class: under fork the workers' calls land in their
+        # own copy of the list, never in the parent's.
+        calls = []
+        batch = Evaluator._evaluate_batch
+
+        def spy(self, jobs, *args, **kwargs):
+            calls.append(len(jobs))
+            return batch(self, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(Evaluator, "_evaluate_batch", spy)
+        with Session(parallel=2) as session:
+            ok = session.submit(FULL_SPEC)
+            bad = session.submit(_overflow_spec())
+            assert ok.result().cycles > 0
+            assert isinstance(bad.exception(), ValidationError)
+            assert calls == [], "the parent re-ran the pooled batch"
+            assert session.cache_stats()["sparse"]["misses"] == 0
+
+    def test_pool_failure_falls_back_in_process(self, monkeypatch):
+        def broken_pool(self, *args, **kwargs):
+            raise RuntimeError("broken pool")
+
+        monkeypatch.setattr(Evaluator, "_run_pool", broken_pool)
+        with Session(parallel=2) as session:
+            ok = session.submit(FULL_SPEC)
+            bad = session.submit(_overflow_spec())
+            with pytest.warns(RuntimeWarning, match="re-running in-process"):
+                session.run()
+            assert ok.result().cycles > 0
             assert isinstance(bad.exception(), ValidationError)
 
 
@@ -293,11 +329,7 @@ class TestSearchJobs:
         del spec["mapping"]
         spec["constraints"] = {"spatial_dims": {"Buffer": ["n"]}}
         design, workload = load_design(spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = Evaluator(search_budget=12).search_mappings(
-                design, workload
-            )
+        legacy = Evaluator(search_budget=12)._search_mappings(design, workload)
         with Session(search_budget=12) as session:
             outcome = session.search(design, workload)
         assert outcome.best.to_dict() == legacy.to_dict()
@@ -382,11 +414,9 @@ class TestNetworkJobs:
 
         design = eyeriss.eyeriss_design()
         layers = alexnet()[:3]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = Evaluator(check_capacity=False).evaluate_network(
-                design, layers, _densities_for
-            )
+        legacy = Evaluator(check_capacity=False)._evaluate_network(
+            design, layers, _densities_for
+        )
         with Session(check_capacity=False) as session:
             net = session.evaluate_network(design, layers, _densities_for)
         assert isinstance(net, NetworkResult)
@@ -419,6 +449,73 @@ class TestNetworkJobs:
         with Session() as session:
             handle = session.submit(NetworkJob(design, alexnet()[:1], None))
             assert isinstance(handle.exception(), SpecError)
+
+
+def _all_loops_at_buffer(workload, arch):
+    """A module-level (hence picklable) factory: every loop at the
+    Buffer, which therefore holds each tensor whole."""
+    from repro.mapping.mapping import single_level_mapping
+
+    return single_level_mapping(arch, workload.einsum)
+
+
+def _matmul_densities(layer):
+    return {"A": 0.5, "B": 0.5}
+
+
+class TestNetworkErrors:
+    """A network with one capacity-overflowing layer fails with the
+    error that layer raises on its own, in-process or pooled."""
+
+    def _network(self):
+        arch = Architecture(
+            "a",
+            [
+                StorageLevel("DRAM", None, component="dram"),
+                StorageLevel("Buffer", 4096, component="sram"),
+            ],
+            ComputeLevel("MAC", instances=1),
+        )
+        design = Design("d", arch, mapping_factory=_all_loops_at_buffer)
+        layers = [
+            NetLayer("small", matmul(8, 8, 8, name="small")),
+            NetLayer("big", matmul(64, 64, 64, name="big")),  # overflows
+            NetLayer("tail", matmul(8, 8, 4, name="tail")),
+        ]
+        return design, layers
+
+    def _alone(self, design, layer):
+        workload = Workload.uniform(
+            layer.spec, _matmul_densities(layer), name=layer.name
+        )
+        with pytest.raises(ValidationError) as caught:
+            Evaluator()._evaluate(design, workload)
+        return caught.value
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_engine_raises_the_layer_error(self, parallel):
+        design, layers = self._network()
+        alone = self._alone(design, layers[1])
+        with pytest.raises(ReproError) as caught:
+            Evaluator()._evaluate_network(
+                design, layers, _matmul_densities, parallel=parallel
+            )
+        assert type(caught.value) is type(alone)
+        assert str(caught.value) == str(alone)
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_session_handle_carries_the_layer_error(self, parallel):
+        design, layers = self._network()
+        alone = self._alone(design, layers[1])
+        with Session(parallel=parallel) as session:
+            handle = session.submit(
+                NetworkJob(design, layers, _matmul_densities)
+            )
+            error = handle.exception()
+            with pytest.raises(ReproError):
+                session.evaluate_network(design, layers, _matmul_densities)
+        assert type(error) is type(alone)
+        assert str(error) == str(alone)
 
 
 class TestDesignWithFactoryAndConstraints:

@@ -46,15 +46,15 @@ class TestCommonHelpers:
 class TestToyDesigns:
     def test_bitmask_saves_energy_not_time(self):
         wl = _mm(0.2, 0.2)
-        dense = ev.evaluate(toy.dense_design(), wl)
-        bm = ev.evaluate(toy.bitmask_design(), wl)
+        dense = ev._evaluate(toy.dense_design(), wl)
+        bm = ev._evaluate(toy.bitmask_design(), wl)
         assert bm.cycles == dense.cycles
         assert bm.energy_pj < dense.energy_pj
 
     def test_coordlist_saves_energy_and_time(self):
         wl = _mm(0.2, 0.2)
-        dense = ev.evaluate(toy.dense_design(), wl)
-        cl = ev.evaluate(toy.coordinate_list_design(), wl)
+        dense = ev._evaluate(toy.dense_design(), wl)
+        cl = ev._evaluate(toy.coordinate_list_design(), wl)
         assert cl.cycles < dense.cycles
         assert cl.energy_pj < dense.energy_pj
 
@@ -64,12 +64,12 @@ class TestToyDesigns:
         dense_wl = _mm(1.0, 1.0)
         cl, bm = toy.coordinate_list_design(), toy.bitmask_design()
         sparse_ratio = (
-            ev.evaluate(cl, sparse_wl).energy_pj
-            / ev.evaluate(bm, sparse_wl).energy_pj
+            ev._evaluate(cl, sparse_wl).energy_pj
+            / ev._evaluate(bm, sparse_wl).energy_pj
         )
         dense_ratio = (
-            ev.evaluate(cl, dense_wl).energy_pj
-            / ev.evaluate(bm, dense_wl).energy_pj
+            ev._evaluate(cl, dense_wl).energy_pj
+            / ev._evaluate(bm, dense_wl).energy_pj
         )
         assert sparse_ratio < 1.0 < dense_ratio
 
@@ -78,15 +78,15 @@ class TestEyeriss:
     def test_gating_keeps_cycles(self):
         layer = alexnet()[2]
         wl = Workload.uniform(layer.spec, {"I": 0.5})
-        gated = ev.evaluate(eyeriss.eyeriss_design(), wl)
-        dense = ev.evaluate(eyeriss.dense_eyeriss_design(), wl)
+        gated = ev._evaluate(eyeriss.eyeriss_design(), wl)
+        dense = ev._evaluate(eyeriss.dense_eyeriss_design(), wl)
         assert gated.cycles == pytest.approx(dense.cycles, rel=0.05)
         assert gated.energy_pj < dense.energy_pj
 
     def test_rle_compression_rate_reasonable(self):
         layer = alexnet()[0]
         wl = Workload.uniform(layer.spec, {"I": 0.65})
-        result = ev.evaluate(eyeriss.eyeriss_design(), wl)
+        result = ev._evaluate(eyeriss.eyeriss_design(), wl)
         rate = result.compression_rate("DRAM", "I")
         assert 1.0 < rate < 3.0
 
@@ -94,7 +94,7 @@ class TestEyeriss:
         design = eyeriss.eyeriss_design()
         for layer in alexnet()[:5]:
             wl = Workload.uniform(layer.spec, {"I": 0.6}, name=layer.name)
-            result = ev.evaluate(design, wl)
+            result = ev._evaluate(design, wl)
             assert result.cycles > 0
 
 
@@ -102,22 +102,22 @@ class TestEyerissV2:
     def test_skipping_speeds_up_pe(self):
         layer = mobilenet_v1()[3]
         wl = Workload.uniform(layer.spec, {"I": 0.55, "W": 0.4})
-        sparse = ev.evaluate(eyeriss_v2.eyeriss_v2_pe_design(), wl)
-        dense = ev.evaluate(eyeriss_v2.dense_pe_design(), wl)
+        sparse = ev._evaluate(eyeriss_v2.eyeriss_v2_pe_design(), wl)
+        dense = ev._evaluate(eyeriss_v2.dense_pe_design(), wl)
         assert sparse.cycles < dense.cycles
 
     def test_depthwise_layers_supported(self):
         design = eyeriss_v2.eyeriss_v2_pe_design()
         dw = next(l for l in mobilenet_v1() if l.name.startswith("dw"))
         wl = Workload.uniform(dw.spec, {"I": 0.5, "W": 0.5})
-        assert ev.evaluate(design, wl).cycles > 0
+        assert ev._evaluate(design, wl).cycles > 0
 
 
 class TestSCNN:
     def test_cartesian_product_skips_both_sides(self):
         layer = alexnet()[2]
         wl = Workload.uniform(layer.spec, {"I": 0.4, "W": 0.3})
-        result = ev.evaluate(scnn.scnn_design(), wl)
+        result = ev._evaluate(scnn.scnn_design(), wl)
         assert result.actual_computes == pytest.approx(
             layer.spec.total_operations * 0.4 * 0.3, rel=1e-6
         )
@@ -125,8 +125,8 @@ class TestSCNN:
     def test_sparse_beats_dense_design(self):
         layer = alexnet()[2]
         wl = Workload.uniform(layer.spec, {"I": 0.4, "W": 0.3})
-        sparse = ev.evaluate(scnn.scnn_design(), wl)
-        dense = ev.evaluate(scnn.dense_scnn_design(), wl)
+        sparse = ev._evaluate(scnn.scnn_design(), wl)
+        dense = ev._evaluate(scnn.dense_scnn_design(), wl)
         assert sparse.cycles < dense.cycles
         assert sparse.energy_pj < dense.energy_pj
 
@@ -149,16 +149,16 @@ class TestSTC:
         """Sec 6.3.5: structured sparsity gives a deterministic 2x."""
         wl = _tc_workload(FixedStructuredDensity(2, 4))
         dense_wl = _tc_workload(UniformDensity(1.0, 1))
-        stc_r = ev.evaluate(stc.stc_design(), wl)
-        dense_r = ev.evaluate(dstc.dense_tensor_core_design(), dense_wl)
+        stc_r = ev._evaluate(stc.stc_design(), wl)
+        dense_r = ev._evaluate(dstc.dense_tensor_core_design(), dense_wl)
         assert dense_r.cycles / stc_r.cycles == pytest.approx(2.0, rel=1e-6)
 
     def test_flexible_hits_bandwidth_wall(self):
         """Sec 7.1.3: 2:8 should be 4x but SMEM throttles it."""
         wl = _tc_workload(FixedStructuredDensity(2, 8))
-        result = ev.evaluate(stc.stc_flexible_design(8), wl)
+        result = ev._evaluate(stc.stc_flexible_design(8), wl)
         assert result.latency.bottleneck == "SMEM"
-        dense_r = ev.evaluate(
+        dense_r = ev._evaluate(
             dstc.dense_tensor_core_design(), _tc_workload(UniformDensity(1.0, 1))
         )
         speedup = dense_r.cycles / result.cycles
@@ -167,8 +167,8 @@ class TestSTC:
     def test_dual_compression_recovers_speed(self):
         """Sec 7.1.4: compressing inputs restores most of the speedup."""
         wl = _tc_workload(FixedStructuredDensity(2, 8))
-        flexible = ev.evaluate(stc.stc_flexible_design(8), wl)
-        dual = ev.evaluate(stc.stc_flexible_rle_dualcompress_design(), wl)
+        flexible = ev._evaluate(stc.stc_flexible_design(8), wl)
+        dual = ev._evaluate(stc.stc_flexible_rle_dualcompress_design(), wl)
         assert dual.cycles < flexible.cycles
         assert dual.energy_pj < flexible.energy_pj
 
@@ -176,8 +176,8 @@ class TestSTC:
 class TestDSTC:
     def test_exploits_both_sides(self):
         wl = _tc_workload(UniformDensity(0.5, resnet50()[10].spec.total_operations))
-        r = ev.evaluate(dstc.dstc_design(), wl)
-        dense_r = ev.evaluate(
+        r = ev._evaluate(dstc.dstc_design(), wl)
+        dense_r = ev._evaluate(
             dstc.dense_tensor_core_design(), _tc_workload(UniformDensity(1.0, 1))
         )
         # Dual-side skipping: fewer cycles than weight-only 2x.
@@ -186,8 +186,8 @@ class TestDSTC:
     def test_higher_energy_than_stc_when_dense(self):
         """Fig. 15: DSTC's streaming dataflow costs energy at density 1."""
         dense_wl = _tc_workload(UniformDensity(1.0, 1))
-        dstc_r = ev.evaluate(dstc.dstc_design(), dense_wl)
-        stc_r = ev.evaluate(stc.stc_design(), dense_wl)
+        dstc_r = ev._evaluate(dstc.dstc_design(), dense_wl)
+        stc_r = ev._evaluate(stc.stc_design(), dense_wl)
         assert dstc_r.energy_pj > stc_r.energy_pj
 
 
@@ -195,15 +195,15 @@ class TestCodesign:
     def test_all_combinations_evaluate(self):
         wl = Workload.uniform(matmul(512, 512, 512), {"A": 0.01, "B": 0.01})
         for df, saf in codesign.ALL_COMBINATIONS:
-            r = ev.evaluate(codesign.build_design(df, saf), wl)
+            r = ev._evaluate(codesign.build_design(df, saf), wl)
             assert r.cycles > 0
 
     def test_hierarchical_helps_streamed_b_when_sparse(self):
         wl = Workload.uniform(matmul(512, 512, 512), {"A": 0.01, "B": 0.01})
-        inner = ev.evaluate(
+        inner = ev._evaluate(
             codesign.build_design("ReuseAZ", "InnermostSkip"), wl
         )
-        hier = ev.evaluate(
+        hier = ev._evaluate(
             codesign.build_design("ReuseAZ", "HierarchicalSkip"), wl
         )
         assert hier.edp < inner.edp
@@ -216,7 +216,7 @@ class TestCodesign:
                 matmul(1024, 1024, 1024), {"A": density, "B": density}
             )
             for df, saf in codesign.ALL_COMBINATIONS:
-                r = ev.evaluate(codesign.build_design(df, saf), wl)
+                r = ev._evaluate(codesign.build_design(df, saf), wl)
                 results[f"{df}.{saf}"] = r.edp
             return min(results, key=results.get)
 
@@ -229,7 +229,7 @@ class TestCodesign:
             )
             edps = {}
             for df, saf in codesign.ALL_COMBINATIONS:
-                r = ev.evaluate(codesign.build_design(df, saf), wl)
+                r = ev._evaluate(codesign.build_design(df, saf), wl)
                 edps[(df, saf)] = r.edp
             best = min(edps, key=edps.get)
             assert best != ("ReuseABZ", "HierarchicalSkip")

@@ -157,6 +157,6 @@ def test_energy_monotone_in_density(da, db):
             matmul(16, 16, 8),
             {"A": min(1.0, da * scale), "B": min(1.0, db * scale)},
         )
-        return ev.evaluate(design, wl).energy_pj
+        return ev._evaluate(design, wl).energy_pj
 
     assert energy(1.0) <= energy(1.5) * (1 + 1e-9) or da >= 0.67

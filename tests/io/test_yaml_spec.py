@@ -150,7 +150,7 @@ class TestMapping:
 class TestEndToEnd:
     def test_full_spec_evaluates(self):
         design, workload = load_design(FULL_SPEC)
-        result = Evaluator().evaluate(design, workload)
+        result = Evaluator()._evaluate(design, workload)
         assert result.cycles > 0
         assert result.energy_pj > 0
         # Skipping is active: some computes are eliminated.

@@ -82,7 +82,7 @@ class TestDenseAnalysisCache:
         mapping = None
         for index, safs in enumerate(dse_saf_variants()):
             design = Design(f"d{index}", arch, safs, constraints=CONSTRAINTS)
-            result = evaluator.search_mappings(design, workload)
+            result = evaluator._search_mappings(design, workload)
             assert result is not None
             mapping = result.dense.mapping
         # Variants 2 and 3 re-walk the exact candidate list of variant 1.
@@ -100,9 +100,9 @@ class TestDenseAnalysisCache:
             warm = Evaluator(search_budget=12)
             # Evaluate twice with the warm evaluator so the second pass
             # is served from the cache, then compare all three.
-            uncached = cold.search_mappings(design, workload)
-            first = warm.search_mappings(design, workload)
-            second = warm.search_mappings(design, Workload.uniform(
+            uncached = cold._search_mappings(design, workload)
+            first = warm._search_mappings(design, workload)
+            second = warm._search_mappings(design, Workload.uniform(
                 matmul(64, 64, 64), {"A": 0.2, "B": 0.2}
             ))
             assert warm.dense_cache.hits > 0
@@ -120,11 +120,11 @@ class TestDenseAnalysisCache:
         dense_wl = Workload.uniform(
             matmul(128, 128, 128), {"A": 0.3, "B": 0.3}
         )
-        first = evaluator.evaluate(design, sparse_wl)
-        second = evaluator.evaluate(design, dense_wl)
+        first = evaluator._evaluate(design, sparse_wl)
+        second = evaluator._evaluate(design, dense_wl)
         assert evaluator.dense_cache.hits >= 1
         cold = Evaluator(cache=None)
-        assert_results_equal(second, cold.evaluate(design, dense_wl))
+        assert_results_equal(second, cold._evaluate(design, dense_wl))
         # Sparser workload must do strictly less effectual compute.
         assert first.sparse.compute.actual < second.sparse.compute.actual
 
@@ -135,7 +135,7 @@ class TestDenseAnalysisCache:
         design = codesign.build_design("ReuseABZ", "InnermostSkip")
         for m in (64, 128, 256):
             wl = Workload.uniform(matmul(m, 64, 64), {"A": 0.1, "B": 0.1})
-            evaluator.evaluate(design, wl)
+            evaluator._evaluate(design, wl)
         assert len(cache) == 2
         assert cache.misses == 3
 
@@ -153,8 +153,8 @@ class TestCapacityPrefilter:
         fast = Evaluator(search_budget=12, prefilter_capacity=True)
         slow = Evaluator(search_budget=12, prefilter_capacity=False)
         assert_results_equal(
-            fast.search_mappings(design, workload),
-            slow.search_mappings(design, workload),
+            fast._search_mappings(design, workload),
+            slow._search_mappings(design, workload),
         )
 
     def test_rejected_candidates_would_fail_validity(self):
@@ -186,8 +186,8 @@ class TestParallelSearch:
         design = Design(
             "d", dse_arch(), dse_saf_variants()[1], constraints=CONSTRAINTS
         )
-        serial = Evaluator(search_budget=16).search_mappings(design, workload)
-        parallel = Evaluator(search_budget=16).search_mappings(
+        serial = Evaluator(search_budget=16)._search_mappings(design, workload)
+        parallel = Evaluator(search_budget=16)._search_mappings(
             design, workload, parallel=2
         )
         assert_results_equal(serial, parallel)
@@ -197,10 +197,10 @@ class TestParallelSearch:
         design = Design("d", dse_arch(), SAFSpec(), constraints=CONSTRAINTS)
         mapper = Mapper(workload.einsum, design.arch, CONSTRAINTS)
         candidates = list(mapper.sample_mappings(1, seed=3))
-        result = Evaluator().search_mappings(
+        result = Evaluator()._search_mappings(
             design, workload, candidates=candidates, parallel=4
         )
-        expected = Evaluator().search_mappings(
+        expected = Evaluator()._search_mappings(
             design, workload, candidates=candidates
         )
         if expected is None:
@@ -222,22 +222,25 @@ class TestEvaluateMany:
 
     def test_matches_individual_evaluate(self):
         jobs = self.jobs()
-        batch = Evaluator().evaluate_many(jobs)
+        batch = [result for result, _error in Evaluator()._evaluate_many(jobs)]
         reference = Evaluator(cache=None)
         for job, result in zip(jobs, batch):
-            assert_results_equal(result, reference.evaluate(*job))
+            assert_results_equal(result, reference._evaluate(*job))
 
     def test_parallel_matches_serial_in_order(self):
         jobs = self.jobs()
-        serial = Evaluator().evaluate_many(jobs)
-        parallel = Evaluator().evaluate_many(jobs, parallel=3)
+        serial = [result for result, _error in Evaluator()._evaluate_many(jobs)]
+        parallel = [
+            result
+            for result, _error in Evaluator()._evaluate_many(jobs, parallel=3)
+        ]
         assert len(serial) == len(parallel) == len(jobs)
         for a, b in zip(serial, parallel):
             assert a.design_name == b.design_name
             assert_results_equal(a, b)
 
     def test_empty_batch(self):
-        assert Evaluator().evaluate_many([]) == []
+        assert Evaluator()._evaluate_many([]) == []
 
 
 class TestCacheKeys:

@@ -1,10 +1,11 @@
 """The engine's one stacked pipeline (``Evaluator._evaluate_batch``).
 
-Search blocks, Session batches and the serve daemon all evaluate
-through the same stacked dense and sparse passes. These tests pin that
-pipeline to a loop of serial ``_evaluate`` calls — results, captured
-errors and every stage's cache accounting — and pin the search fold's
-error rule: ``ValidationError``/``MappingError`` candidates are
+Single evaluations, search blocks, Session batches and the serve
+daemon all evaluate through the same stacked dense and sparse passes.
+These tests pin that pipeline to a loop of ``_evaluate`` calls (each a
+batch of one) and to the serial oracle ``_evaluate_mapping`` — results,
+captured errors and every stage's cache accounting — and pin the search
+fold's error rule: ``ValidationError``/``MappingError`` candidates are
 skipped, any other ``ReproError`` propagates.
 """
 
@@ -94,6 +95,39 @@ def test_batch_matches_serial_loop(name, design):
     assert _summary(got) == _summary(expected), name
     assert [type(e).__name__ for _r, e in got].count("ValidationError") >= 1
     assert _counts(stacked) == _counts(serial), name
+
+
+def _oracle(evaluator, jobs):
+    """The serial oracle: one ``_evaluate_mapping`` walk per job, no
+    batch pass (``_evaluate`` itself is now a batch of one)."""
+    outcomes = []
+    for design, workload in jobs:
+        try:
+            mapping = design.mapping_for(workload)
+            result = evaluator._evaluate_mapping(design, workload, mapping)
+        except ReproError as exc:
+            outcomes.append((None, exc))
+        else:
+            outcomes.append((result, None))
+    return outcomes
+
+
+@pytest.mark.parametrize("memos", ["per-call", None])
+@pytest.mark.parametrize("name,design", FAMILIES, ids=FAMILY_IDS)
+def test_batch_matches_serial_oracle(name, design, memos):
+    """Batches — with per-call walk memos, or with none, which flushes
+    every walk context in one pass — match the serial oracle."""
+    oracle, stacked = Evaluator(), Evaluator()
+    expected = _oracle(oracle, _jobs(design))
+    if memos is None:
+        got = stacked._evaluate_batch(_jobs(design), memos=None)
+    else:
+        got = stacked._evaluate_batch(_jobs(design))
+    assert _summary(got) == _summary(expected), name
+    assert _counts(stacked) == _counts(oracle), name
+    single = Evaluator()
+    assert _summary(_serial(single, _jobs(design))) == _summary(expected)
+    assert _counts(single) == _counts(oracle), name
 
 
 def _failing_sparse_batch(monkeypatch, fail_on_call):
