@@ -464,24 +464,6 @@ class Evaluator:
             raise error
         return result
 
-    def _search_best(
-        self, design: Design, workload: Workload
-    ) -> EvaluationResult:
-        """The evaluation of a job with no mapping of its own: the
-        mapper's lowest-EDP valid mapping of ``design.constraints``."""
-        if design.constraints is None:
-            raise SpecError(
-                f"design {design.name!r} has no mapping, factory, or "
-                "constraints"
-            )
-        result = self._search_mappings(design, workload)
-        if result is None:
-            raise MappingError(
-                f"no valid mapping found for {design.name!r} on "
-                f"{workload.name!r} within budget {self.search_budget}"
-            )
-        return result
-
     def _dense_analysis(
         self, design: Design, workload: Workload, mapping: Mapping
     ) -> DenseTraffic:
@@ -1448,13 +1430,13 @@ class Evaluator:
         architecture — only the mapping differs. Each context's walk
         memo is ``memos[context]`` (created on first use); ``memos=None``
         walks without one, all contexts in one pass. Computed entries
-        install only after every pass has flushed, so should a flush fail, rolling back the
-        stage accounting of the aborted attempt restores the exact
-        pre-pass state, and every entry recounts through the serial
-        oracle so the error lands on exactly the entries that caused
-        it. Per-entry results — values, errors, cache accounting, and
-        shared-object identity for duplicates — are bit-identical to
-        calling the serial helper in a loop.
+        install only after every pass has flushed, so should a flush
+        fail, rolling back the stage accounting of the aborted attempt
+        restores the exact pre-pass state, and every entry recounts
+        through the serial oracle so the error lands on exactly the
+        entries that caused it. Per-entry results — values, errors,
+        cache accounting, and shared-object identity for duplicates —
+        are bit-identical to calling the serial helper in a loop.
         """
         count = len(entries)
         sparses: list[SparseTraffic | None] = [None] * count
@@ -1491,7 +1473,9 @@ class Evaluator:
         # exactly the context the walk memo is pure over (see
         # analyze_sparse_batch). Keyless entries (no cache, or
         # uncacheable densities) group by object identity instead.
-        # Without memos no walk state is shared: one flush serves all.
+        # Without memos no walk state is shared, so one pass serves
+        # every context; this also spares each single evaluation (a
+        # batch of one) hashing its context tuple.
         groups: dict[tuple | None, list[int]] = {}
         if memos is None:
             if compute_positions:
@@ -1556,7 +1540,7 @@ class Evaluator:
         the serve daemon's micro-batches all run through it. It runs
         stage by stage across the whole batch: mappings resolve first
         (constraints-only designs run the mapspace search,
-        :meth:`_search_best`), the dense misses of the batch stack
+        :meth:`_search_mappings`), the dense misses of the batch stack
         through one :meth:`_dense_analysis_batch` pass, the sparse
         misses through one :meth:`_sparse_analysis_batch` pass, and the
         micro tail finishes each job. Every per-job outcome —
@@ -1593,7 +1577,19 @@ class Evaluator:
                 if mapping is None:
                     # Constraints-driven (or absent) mapping policy:
                     # the search path owns this job end to end.
-                    outcomes[index] = (self._search_best(design, workload), None)
+                    if design.constraints is None:
+                        raise SpecError(
+                            f"design {design.name!r} has no mapping, "
+                            "factory, or constraints"
+                        )
+                    result = self._search_mappings(design, workload)
+                    if result is None:
+                        raise MappingError(
+                            f"no valid mapping found for {design.name!r} on "
+                            f"{workload.name!r} within budget "
+                            f"{self.search_budget}"
+                        )
+                    outcomes[index] = (result, None)
                     continue
             except ReproError as exc:
                 outcomes[index] = (None, exc)

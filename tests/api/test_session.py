@@ -517,6 +517,32 @@ class TestNetworkErrors:
         assert type(error) is type(alone)
         assert str(error) == str(alone)
 
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_failed_network_caches_its_ok_layers(self, parallel, tmp_path):
+        """Every unique layer runs before the error is raised: the
+        layers that succeeded are cached, and no snapshot is spilled."""
+        design, layers = self._network()
+        evaluator = Evaluator(persistent=PersistentCache(root=tmp_path))
+        with pytest.raises(ValidationError):
+            evaluator._evaluate_network(
+                design, layers, _matmul_densities, parallel=parallel
+            )
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+        for layer in (layers[0], layers[2]):
+            workload = Workload.uniform(
+                layer.spec, _matmul_densities(layer), name=layer.name
+            )
+            before = {
+                name: stats["misses"]
+                for name, stats in evaluator.cache.stats().items()
+            }
+            evaluator._evaluate(design, workload)
+            after = {
+                name: stats["misses"]
+                for name, stats in evaluator.cache.stats().items()
+            }
+            assert after == before, layer.name
+
 
 class TestDesignWithFactoryAndConstraints:
     def test_python_object_job_with_explicit_mapping(self):
