@@ -135,7 +135,7 @@ def _sparse_stage_pairs():
         for dataflow, saf in codesign.ALL_COMBINATIONS:
             design = codesign.build_design(dataflow, saf)
             mapping = design.mapping_for(workload)
-            dense = evaluator._dense_analysis(design, workload, mapping)
+            dense = evaluator._dense_analysis_keyed(design, workload, mapping)[0]
             pairs.append((dense, design.safs))
     return pairs
 
@@ -152,23 +152,23 @@ def _bench_sparse_postprocess() -> dict:
     from repro.sparse.postprocess import analyze_sparse
 
     pairs = _sparse_stage_pairs()
-    for vectorized in (False, True):  # shared warmup for both paths
+    for reference in (True, False):  # shared warmup for both paths
         for dense, safs in pairs:
-            analyze_sparse(dense, safs, vectorized=vectorized)
+            analyze_sparse(dense, safs, reference=reference)
 
     t0 = time.perf_counter()
     oracle = None
     for _ in range(SPARSE_ROUNDS):
         for dense, safs in pairs:
-            oracle = analyze_sparse(dense, safs, vectorized=False)
+            oracle = analyze_sparse(dense, safs, reference=True)
     scalar_seconds = time.perf_counter() - t0
 
-    evaluator = Evaluator()
+    evaluator = Evaluator(reference=False)
     t0 = time.perf_counter()
     fast = None
     for _ in range(SPARSE_ROUNDS):
         for dense, safs in pairs:
-            fast = evaluator._sparse_analysis(dense, safs)
+            fast = evaluator._sparse_analysis_keyed(dense, safs)[0]
     fast_seconds = time.perf_counter() - t0
 
     # The fast path must agree bit-for-bit with the oracle (spot check
@@ -190,7 +190,7 @@ def _bench_sparse_postprocess() -> dict:
         "sparse_evaluations": evals,
         "sparse_seconds": round(fast_seconds, 4),
         "sparse_cache_hit_rate": round(
-            evaluator.sparse_cache.hit_rate, 4
+            evaluator.cache.sparse.hit_rate, 4
         ),
     }
 
@@ -515,11 +515,11 @@ def test_search_cold_smoke():
     One 512-candidate search with every per-evaluator cache empty — the
     cost a user pays on the very first invocation, where the warm-start
     and candidate-memo tiers cannot help. The fast path (vectorized
-    capacity prefilter + batched dense nest analysis, the defaults) is
-    timed against the same code with both stages forced scalar
-    (``prefilter_vectorized=False, dense_vectorized=False``), fresh
-    evaluators each round, interleaved, min of each side. Winners must
-    agree bit for bit (never retried).
+    capacity prefilter + batched dense nest analysis + stacked sparse
+    flush, the defaults) is timed against the same code in reference
+    mode (``Evaluator(reference=True)``: every stage on its scalar
+    oracle), fresh evaluators each round, interleaved, min of each
+    side. Winners must agree bit for bit (never retried).
 
     The scalar oracle is *faster* than the PR the floor is anchored to:
     it shares this tree's cross-cutting trims (memoised keep chains and
@@ -535,10 +535,9 @@ def test_search_cold_smoke():
     design, workload = _cold_design()
 
     def one_run(fast: bool):
-        kwargs = {} if fast else dict(
-            prefilter_vectorized=False, dense_vectorized=False
+        evaluator = Evaluator(
+            search_budget=COLD_SEARCH_BUDGET, reference=not fast
         )
-        evaluator = Evaluator(search_budget=COLD_SEARCH_BUDGET, **kwargs)
         t0 = time.perf_counter()
         result = evaluator._search_mappings(
             design, workload, batch_size=COLD_SEARCH_BUDGET

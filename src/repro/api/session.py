@@ -36,7 +36,6 @@ Results are versioned, serializable data — see
 from __future__ import annotations
 
 import threading
-import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import replace
 from pathlib import Path
@@ -132,11 +131,10 @@ class Session:
     The Session warm-starts from it automatically the first time it
     runs a job with a new (design, workload) content key, and spills
     the in-memory cache back on :meth:`close`.
-    ``prefilter_capacity`` / ``sparse_vectorized`` /
-    ``dense_vectorized`` / ``prefilter_vectorized``: engine fast-path
-    flags, passed through unchanged (``None`` keeps the engine default
-    for each of the three vectorization knobs; each fast path is
-    proven bit-identical to its scalar oracle).
+    ``prefilter_capacity``: the engine's capacity prefilter, passed
+    through unchanged. The engine's reference mode
+    (:attr:`Evaluator.reference`) is not a Session argument: it
+    changes speed, never results, and follows ``REPRO_REFERENCE``.
     ``workers``: worker pool for sharded searches (``SearchJob.shards
     > 1``, or ``search(..., shards=N)``). An int boots that many local
     ``repro serve --worker`` daemons lazily on first use (sharing this
@@ -162,9 +160,6 @@ class Session:
         cache: AnalysisCache | None = _UNSET,
         persistent: PersistentCache | None = None,
         prefilter_capacity: bool = True,
-        sparse_vectorized: bool | None = None,
-        dense_vectorized: bool | None = None,
-        prefilter_vectorized: bool | None = None,
         workers: int | list | tuple | None = None,
         worker_timeout: float = 30.0,
     ):
@@ -174,7 +169,7 @@ class Session:
             raise SpecError(f"workers must be >= 1, got {workers}")
         if cache is _UNSET:
             cache = AnalysisCache()
-        engine_kwargs = dict(
+        self._evaluator = Evaluator(
             check_capacity=check_capacity,
             search_budget=search_budget,
             search_seed=search_seed,
@@ -182,13 +177,6 @@ class Session:
             prefilter_capacity=prefilter_capacity,
             persistent=persistent,
         )
-        if sparse_vectorized is not None:
-            engine_kwargs["sparse_vectorized"] = sparse_vectorized
-        if dense_vectorized is not None:
-            engine_kwargs["dense_vectorized"] = dense_vectorized
-        if prefilter_vectorized is not None:
-            engine_kwargs["prefilter_vectorized"] = prefilter_vectorized
-        self._evaluator = Evaluator(**engine_kwargs)
         self.parallel = parallel
         self._workers_spec = workers
         self._worker_timeout = worker_timeout
@@ -511,26 +499,11 @@ class Session:
         if not handles:
             return
         # One stacked pass over the whole batch (over the pool at
-        # parallel=N); a failing job fails only its own handle.
-        jobs = [h.job.engine_args() for h in handles]
-        try:
-            outcomes = self._evaluator._evaluate_many(
-                jobs, parallel=self.parallel
-            )
-        except Exception as exc:
-            pooled = self.parallel > 1 and len(jobs) > 1
-            if isinstance(exc, ReproError) or not pooled:
-                raise
-            # Pool infra failures (pickling, broken pool) fall back
-            # in-process — but say so, since they'd otherwise cost the
-            # whole fan-out invisibly.
-            warnings.warn(
-                f"parallel batch of {len(jobs)} jobs failed "
-                f"({type(exc).__name__}: {exc}); re-running in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            outcomes = self._evaluator._evaluate_batch(jobs)
+        # parallel=N, re-run in-process should the pool itself fail);
+        # a failing job fails only its own handle.
+        outcomes = self._evaluator._evaluate_many(
+            [h.job.engine_args() for h in handles], parallel=self.parallel
+        )
         for handle, (result, exc) in zip(handles, outcomes):
             if exc is not None:
                 handle._resolve(exception=exc)

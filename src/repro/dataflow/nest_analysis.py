@@ -26,7 +26,6 @@ The analysis follows the classic stationarity model:
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -39,16 +38,6 @@ from repro.common.util import prod
 from repro.mapping.mapping import Loop, Mapping
 from repro.workload.einsum import EinsumSpec, TensorRef
 from repro.workload.spec import Workload
-
-#: Default backend for :func:`analyze_dataflow_batch`. Setting the
-#: ``REPRO_SCALAR_DENSE`` environment variable to a truthy value forces
-#: the scalar per-candidate oracle process-wide (mirroring
-#: ``REPRO_SCALAR_SPARSE`` for the sparse stage); both backends are
-#: bit-identical.
-DENSE_VECTORIZED_DEFAULT = os.environ.get(
-    "REPRO_SCALAR_DENSE", ""
-).lower() in ("", "0", "false", "no", "off")
-
 
 @dataclass
 class TensorTraffic:
@@ -505,27 +494,24 @@ def _analyze_output(
 def analyze_dataflow_batch(
     jobs: Sequence[tuple[Workload, Architecture, Mapping]],
     *,
-    vectorized: bool | None = None,
+    reference: bool = False,
 ) -> list[DenseTraffic]:
     """Run :func:`analyze_dataflow` over many jobs at once.
 
     ``jobs`` is a sequence of ``(workload, arch, mapping)`` tuples;
     returns one :class:`DenseTraffic` per job, in order, numerically
     identical to calling the scalar entry point in a loop (which is
-    exactly what the scalar backend does). ``vectorized`` selects the
-    backend (default :data:`DENSE_VECTORIZED_DEFAULT`); the vectorized
+    exactly what ``reference=True`` does). The default stacked
     backend groups jobs sharing an einsum, architecture, and keep
     structure, merges their loop orders into one padded slot layout,
     and evaluates each group's dense traffic in stacked float64
     segments. Groups of one, conflicting loop orders, explicit bound-1
-    loops, integer ranges that could overflow int64, and the scalar
-    backend all fall back to the per-candidate oracle. Raises like the
-    scalar path on the first structurally invalid mapping.
+    loops, integer ranges that could overflow int64, and the reference
+    mode all run the per-candidate oracle. Raises like the scalar path
+    on the first structurally invalid mapping.
     """
     jobs = list(jobs)
-    if vectorized is None:
-        vectorized = DENSE_VECTORIZED_DEFAULT
-    if not vectorized or len(jobs) < 2:
+    if reference or len(jobs) < 2:
         return [analyze_dataflow(w, a, m) for (w, a, m) in jobs]
     groups: dict[tuple, list[int]] = {}
     for idx, (workload, arch, mapping) in enumerate(jobs):
@@ -560,7 +546,7 @@ def analyze_fused_dataflow(
     *,
     fuse_at: str | None,
     shared: dict[str, tuple[int, list[int]]],
-    vectorized: bool | None = None,
+    reference: bool = False,
 ) -> list[DenseTraffic]:
     """Dense dataflow analysis of a fused einsum cascade.
 
@@ -590,7 +576,7 @@ def analyze_fused_dataflow(
     ``None`` (the degenerate form) this is exactly
     :func:`analyze_dataflow_batch`.
     """
-    denses = analyze_dataflow_batch(jobs, vectorized=vectorized)
+    denses = analyze_dataflow_batch(jobs, reference=reference)
     if fuse_at is None:
         return denses
     for tensor, (producer, consumers) in shared.items():

@@ -188,10 +188,10 @@ def run_shard(
     objective = resolve_objective(job.objective)
     batch_size = max(1, job.batch_size or evaluator.search_batch_size)
     prefilter = job.prefilter and job.check_capacity
-    blocked = prefilter and evaluator.prefilter_vectorized
+    blocked = prefilter and not evaluator.reference
 
     frontier = ParetoFrontier(axes=objective.axes)
-    memos: dict | None = {} if evaluator.dense_vectorized else None
+    memos: dict | None = None if evaluator.reference else {}
     best = None
     position = 0
     index = -1

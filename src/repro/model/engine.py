@@ -64,6 +64,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -87,7 +88,6 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.dataflow.nest_analysis import (
-    DENSE_VECTORIZED_DEFAULT,
     DenseTraffic,
     analyze_dataflow,
     analyze_dataflow_batch,
@@ -118,7 +118,6 @@ from repro.search.frontier import ParetoFrontier
 from repro.search.objective import Objective, resolve_objective
 from repro.sparse.format_analyzer import TILE_FORMAT_STAGE
 from repro.sparse.postprocess import (
-    VECTORIZED_DEFAULT,
     analyze_sparse,
     analyze_sparse_batch,
     ensure_output_density,
@@ -144,13 +143,12 @@ MappingFactory = Callable[[Workload, Architecture], Mapping]
 #: objects by graph + design + resolved sub-nest + density content.
 FUSED_STAGE = "fused"
 
-#: Default backend for the capacity prefilter in the batched search
-#: strategy. The scalar oracle (:meth:`Evaluator._capacity_overflow`
-#: per candidate) can be forced process-wide by setting
-#: ``REPRO_SCALAR_PREFILTER`` to anything but an explicit falsy value.
-PREFILTER_VECTORIZED_DEFAULT = os.environ.get(
-    "REPRO_SCALAR_PREFILTER", ""
-).lower() in ("", "0", "false", "no", "off")
+#: Default of :attr:`Evaluator.reference`: setting ``REPRO_REFERENCE``
+#: to anything but an explicit falsy value ("", "0", "false", "no",
+#: "off") runs every evaluator in the process on the reference oracles.
+REFERENCE_DEFAULT = os.environ.get("REPRO_REFERENCE", "").lower() not in (
+    "", "0", "false", "no", "off",
+)
 
 #: Marker default of :meth:`Evaluator._evaluate_batch`'s ``memos``
 #: (never written to): a call of two or more jobs keeps fresh
@@ -338,26 +336,15 @@ class Evaluator:
     subtrees. Never changes the search result (the bound is a strict
     lower bound of the validity check's occupancy); only applies when
     ``check_capacity`` is True.
-    ``sparse_vectorized``: run the sparse post-processing stage with
-    batched numpy arithmetic (the default, unless the
-    ``REPRO_SCALAR_SPARSE`` environment variable forced the scalar
-    oracle process-wide) or the scalar oracle path; both are
-    bit-identical (see :mod:`repro.sparse.postprocess`).
-    ``dense_vectorized``: run the dense nest analysis of each search
-    block through the stacked backend
-    (:func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`)
-    instead of one scalar walk per candidate, and share the
-    sparse-walk memo (leader keeps, format scalings) across the
-    candidates of one search. Default follows ``REPRO_SCALAR_DENSE``;
-    both backends are bit-identical.
-    ``prefilter_vectorized``: run the capacity prefilter of the
-    batched search strategy as one stacked numpy reduction per memory
-    level and block instead of the scalar per-candidate scan
-    (:meth:`_capacity_overflow`, which remains the bit-identical
-    oracle). Default follows ``REPRO_SCALAR_PREFILTER``. Witness
-    feedback into the mapper is unchanged: overflow extents are
-    derived lazily from the block arrays only when a witness is
-    actually registered.
+    ``reference``: run every stage on its reference oracle instead of
+    its stacked fast path — the scalar sparse emitter
+    (:mod:`repro.sparse.postprocess`), one scalar dense walk per
+    candidate (:func:`~repro.dataflow.nest_analysis.analyze_dataflow`),
+    the per-candidate capacity prefilter (:meth:`_capacity_overflow`),
+    and no search-wide sparse-walk memo. Each fast path is
+    bit-identical to its oracle, so this mode changes speed, never
+    results; it exists to prove exactly that. Default follows the
+    ``REPRO_REFERENCE`` environment variable (:data:`REFERENCE_DEFAULT`).
     ``search_strategy`` / ``search_batch_size``: how the mapspace
     scan evaluates candidates. ``"batched"`` (the default) plans the
     unpruned candidate stream once — replaying sampled streams from
@@ -374,9 +361,8 @@ class Evaluator:
     — because the stacked arithmetic is elementwise and the scan
     preserves candidate order, prefilter decisions, and witness
     feedback. The batched strategy keeps its block structure (and the
-    candidate memo) even when the scalar sparse oracle is forced — the
-    stacked flush simply degenerates to per-candidate scalar
-    arithmetic.
+    candidate memo) under ``reference`` — the stacked passes simply
+    degenerate to per-candidate scalar arithmetic.
     ``"evolutionary"`` breeds candidates in factorization space
     instead of scanning a fixed stream: population seeded from the
     ``"candidates"`` memo, crossover/mutation honouring
@@ -409,9 +395,9 @@ class Evaluator:
     Stacked pipeline: every evaluation (:meth:`_evaluate` is a batch of
     one) runs through :meth:`_evaluate_batch` (one dense pass, one
     sparse pass, then the micro tail). Walk-memo rule: a search keeps
-    one sparse-walk memo per walk context across all its blocks when
-    ``dense_vectorized`` is set and none otherwise, while a batch call
-    of two or more jobs keeps fresh memos for that call only.
+    one sparse-walk memo per walk context across all its blocks unless
+    ``reference`` is set, while a batch call of two or more jobs keeps
+    fresh memos for that call only.
     """
 
     check_capacity: bool = True
@@ -421,15 +407,7 @@ class Evaluator:
         default_factory=AnalysisCache, repr=False
     )
     prefilter_capacity: bool = True
-    sparse_vectorized: bool = field(
-        default_factory=lambda: VECTORIZED_DEFAULT
-    )
-    dense_vectorized: bool = field(
-        default_factory=lambda: DENSE_VECTORIZED_DEFAULT
-    )
-    prefilter_vectorized: bool = field(
-        default_factory=lambda: PREFILTER_VECTORIZED_DEFAULT
-    )
+    reference: bool = field(default_factory=lambda: REFERENCE_DEFAULT)
     persistent: PersistentCache | None = field(default=None, repr=False)
     persistent_key: str | None = field(default=None, repr=False)
     search_strategy: str = "batched"
@@ -440,11 +418,6 @@ class Evaluator:
     def dense_cache(self) -> DenseAnalysisCache | None:
         """The dense analysis stage (legacy accessor)."""
         return self.cache.dense if self.cache is not None else None
-
-    @property
-    def sparse_cache(self):
-        """The sparse analysis stage, or ``None`` when disabled."""
-        return self.cache.sparse if self.cache is not None else None
 
     def _evaluate(
         self,
@@ -464,11 +437,6 @@ class Evaluator:
             raise error
         return result
 
-    def _dense_analysis(
-        self, design: Design, workload: Workload, mapping: Mapping
-    ) -> DenseTraffic:
-        return self._dense_analysis_keyed(design, workload, mapping)[0]
-
     def _dense_analysis_keyed(
         self, design: Design, workload: Workload, mapping: Mapping
     ) -> tuple[DenseTraffic, tuple | None]:
@@ -477,15 +445,6 @@ class Evaluator:
         return self.cache.dense.get_or_compute_keyed(
             workload, design.arch, mapping
         )
-
-    def _sparse_analysis(
-        self,
-        dense: DenseTraffic,
-        safs: SAFSpec,
-        dense_key: tuple | None = None,
-    ) -> SparseTraffic:
-        """Sparse post-processing through the ``"sparse"`` cache stage."""
-        return self._sparse_analysis_keyed(dense, safs, dense_key)[0]
 
     def _sparse_analysis_keyed(
         self,
@@ -504,25 +463,19 @@ class Evaluator:
         analysis fully determines validity, latency, and energy (the
         architecture key rides inside it via the dense key).
         """
-        if self.cache is None:
-            return (
-                analyze_sparse(dense, safs, vectorized=self.sparse_vectorized),
-                None,
-            )
-        key = sparse_analysis_key(dense, safs, dense_key)
+        key = (
+            None
+            if self.cache is None
+            else sparse_analysis_key(dense, safs, dense_key)
+        )
         if key is None:
-            return (
-                analyze_sparse(dense, safs, vectorized=self.sparse_vectorized),
-                None,
-            )
+            return analyze_sparse(dense, safs, reference=self.reference), None
         # One hash-memoising wrapper serves the sparse stage and all
         # three micro-model stages (several dict operations each).
         key = CachedHashKey(key)
         sparse = self.cache.sparse.get_or_compute(
             key,
-            lambda: analyze_sparse(
-                dense, safs, vectorized=self.sparse_vectorized
-            ),
+            lambda: analyze_sparse(dense, safs, reference=self.reference),
         )
         return sparse, key
 
@@ -688,33 +641,24 @@ class Evaluator:
                 )
         return None
 
-    def _passes_capacity_prefilter(
-        self, design: Design, workload: Workload, mapping: Mapping
-    ) -> bool:
-        """Boolean view of :meth:`_capacity_overflow`."""
-        return self._capacity_overflow(design, workload, mapping) is None
-
     def _capacity_overflow_block(
         self,
         design: Design,
         workload: Workload,
         mappings: Sequence[Mapping],
-        vectorized: bool | None = None,
+        reference: bool = False,
     ) -> list[OverflowReason | None]:
         """Block view of :meth:`_capacity_overflow`: one
         :class:`OverflowReason` (or ``None``) per mapping.
 
-        ``vectorized=None`` follows ``prefilter_vectorized``; the
-        scalar path simply loops the oracle. Both paths are
+        ``reference=True`` simply loops the oracle. Both paths are
         bit-identical — decision, overflowing level, bound values, and
         witness extents. The search itself keeps the lazier
         :class:`_PrefilterReject` records from
         :meth:`_prefilter_block`; this eager view serves equivalence
         tests and external callers.
         """
-        if vectorized is None:
-            vectorized = self.prefilter_vectorized
-        if not vectorized:
+        if reference:
             return [
                 self._capacity_overflow(design, workload, mapping)
                 for mapping in mappings
@@ -1262,7 +1206,7 @@ class Evaluator:
             generation.append(genome)
         # One sparse-walk memo spans the whole search, as in the
         # batched scan: every candidate shares (design, workload).
-        memos: dict | None = {} if self.dense_vectorized else None
+        memos: dict | None = None if self.reference else {}
         best: tuple[float, int, EvaluationResult] | None = None
         scored: list[tuple[float, int, dict]] = []
         proposals = 0
@@ -1377,7 +1321,7 @@ class Evaluator:
                         (items[i][1], items[i][0].arch, items[i][2])
                         for i in compute_positions
                     ],
-                    vectorized=self.dense_vectorized,
+                    reference=self.reference,
                 )
             except ReproError:
                 if stage is not None:
@@ -1497,7 +1441,7 @@ class Evaluator:
                 memo = None if memos is None else memos.setdefault(context, {})
                 computed = analyze_sparse_batch(
                     [(entries[i][1], entries[i][0].safs) for i in positions],
-                    vectorized=self.sparse_vectorized,
+                    reference=self.reference,
                     memo=memo,
                 )
                 flushes.append((positions, computed))
@@ -1651,7 +1595,9 @@ class Evaluator:
         each run through :meth:`_evaluate_batch` in a worker process
         that starts with the parent's hottest cache entries; a failing
         job fails only its own slot, and the outcomes match the
-        in-process batch exactly.
+        in-process batch exactly. Should the pool itself fail (say, a
+        design that cannot pickle under the spawn start method), the
+        batch re-runs in-process with a :class:`RuntimeWarning`.
         """
         jobs = list(jobs)
         if parallel <= 1 or len(jobs) <= 1:
@@ -1662,11 +1608,25 @@ class Evaluator:
         # worker via the initializer; task payloads are index ranges,
         # split as a search's shards are.
         ranges = plan_shards(len(jobs), parallel)
-        partials = self._run_pool(
-            _evaluate_range_worker,
-            [(spec.start, spec.stop) for spec in ranges],
-            shared={"evaluator": replace(self, cache=None), "jobs": jobs},
-        )
+        try:
+            partials = self._run_pool(
+                _evaluate_range_worker,
+                [(spec.start, spec.stop) for spec in ranges],
+                shared={"evaluator": replace(self, cache=None), "jobs": jobs},
+            )
+        except ReproError:
+            raise
+        except Exception as exc:
+            # Pool infrastructure failures (pickling, a broken pool)
+            # fall back in-process — but say so, since they would
+            # otherwise cost the whole fan-out invisibly.
+            warnings.warn(
+                f"parallel batch of {len(jobs)} jobs failed "
+                f"({type(exc).__name__}: {exc}); re-running in-process",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return self._evaluate_batch(jobs)
         outcomes = [outcome for chunk in partials for outcome in chunk]
         # Results were computed in workers; fold them back into the
         # parent cache so follow-up serial evaluations hit and
@@ -1910,7 +1870,7 @@ class Evaluator:
                 (w, design.arch, resolved[w.name]) for w in workloads
             ]
             denses = analyze_fused_dataflow(
-                jobs, fuse_at=fuse_at, shared=shared
+                jobs, fuse_at=fuse_at, shared=shared, reference=self.reference
             )
             if self.cache is not None:
                 for (workload, _arch, mapping), dense in zip(jobs, denses):

@@ -16,7 +16,7 @@ and residue rule. The arithmetic itself is delegated to an emitter:
 * :class:`_ScalarEmitter` computes each split immediately with the
   original scalar helpers (:func:`_data_split`,
   :func:`_metadata_split`) — this is the equivalence oracle, selected
-  with ``analyze_sparse(..., vectorized=False)``.
+  with ``analyze_sparse(..., reference=True)``.
 * :class:`_BatchEmitter` records every flow of the whole loop nest and
   evaluates all of them in one set of elementwise numpy operations at
   flush time, then scatters the results back in emission order.
@@ -24,8 +24,8 @@ and residue rule. The arithmetic itself is delegated to an emitter:
 Both paths are bit-identical: the batched expressions mirror the
 scalar formulas operation for operation (IEEE-754 elementwise), and
 the scatter preserves per-accumulator addition order. The default is
-the vectorized path; set the ``REPRO_SCALAR_SPARSE`` environment
-variable (or pass ``vectorized=False``) to force the oracle.
+the vectorized path; pass ``reference=True`` to force the oracle (the
+engine does so under :attr:`repro.model.engine.Evaluator.reference`).
 
 The emitter contract extends *across* loop nests: because rows are
 stored column-wise and the scatter replays per-accumulator emission
@@ -45,8 +45,6 @@ engine's ``"sparse"`` cache stage (see :mod:`repro.common.cache`).
 
 from __future__ import annotations
 
-import os
-
 from repro.common.cache import CachedHashKey
 from repro.common.util import prod
 from repro.dataflow.nest_analysis import DenseTraffic, dense_analysis_key
@@ -62,14 +60,6 @@ from repro.sparse.saf import SAFSpec
 from repro.sparse.traffic import ActionBreakdown, SparseTraffic
 from repro.workload.einsum import TensorRef
 from repro.workload.spec import Workload
-
-#: Default backend for :func:`analyze_sparse`. The scalar oracle can be
-#: forced process-wide by setting ``REPRO_SCALAR_SPARSE`` to anything
-#: but an explicit falsy value ("", "0", "false", "no", "off").
-VECTORIZED_DEFAULT = os.environ.get("REPRO_SCALAR_SPARSE", "").lower() in (
-    "", "0", "false", "no", "off",
-)
-
 
 def ensure_output_density(workload: Workload) -> None:
     """Derive the output tensor's density when the user left it unset.
@@ -365,17 +355,14 @@ def analyze_sparse(
     dense: DenseTraffic,
     safs: SAFSpec,
     *,
-    vectorized: bool | None = None,
+    reference: bool = False,
 ) -> SparseTraffic:
     """Run the sparse modeling step on top of dense traffic.
 
-    ``vectorized`` selects the batched numpy arithmetic (default) or
-    the scalar oracle path; both produce bit-identical results. The
-    module default follows :data:`VECTORIZED_DEFAULT`.
+    ``reference`` selects the scalar oracle path instead of the batched
+    numpy arithmetic (the default); both produce bit-identical results.
     """
-    if vectorized is None:
-        vectorized = VECTORIZED_DEFAULT
-    emitter = _BatchEmitter() if vectorized else _ScalarEmitter()
+    emitter = _ScalarEmitter() if reference else _BatchEmitter()
     sparse = _record_sparse(dense, safs, emitter)
     emitter.flush()
     return sparse
@@ -384,7 +371,7 @@ def analyze_sparse(
 def analyze_sparse_batch(
     jobs,
     *,
-    vectorized: bool | None = None,
+    reference: bool = False,
     memo: dict | None = None,
 ) -> list[SparseTraffic]:
     """Run the sparse modeling step for many analyses in one pass.
@@ -396,8 +383,8 @@ def analyze_sparse_batch(
     stacked arrays; each analysis owns a contiguous segment of the
     batch, so the scatter preserves per-candidate accumulation order
     and the results are bit-identical to calling :func:`analyze_sparse`
-    once per pair (the equivalence oracle, which the scalar backend
-    falls back to directly).
+    once per pair (the equivalence oracle, which ``reference=True``
+    runs directly).
 
     ``memo`` is an optional *cross-call* walk memo: candidates of one
     mapspace search re-derive the same leader-keep probabilities,
@@ -410,11 +397,9 @@ def analyze_sparse_batch(
     walk would compute, so results remain bit-identical. The scalar
     oracle path ignores the memo entirely.
     """
-    if vectorized is None:
-        vectorized = VECTORIZED_DEFAULT
-    if not vectorized:
+    if reference:
         return [
-            analyze_sparse(dense, safs, vectorized=False)
+            analyze_sparse(dense, safs, reference=True)
             for dense, safs in jobs
         ]
     emitter = _BatchEmitter()

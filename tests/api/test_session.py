@@ -218,6 +218,43 @@ class TestJobHandles:
             assert ok.result().cycles > 0
             assert isinstance(bad.exception(), ValidationError)
 
+    def test_network_pool_failure_falls_back_in_process(self, monkeypatch):
+        """Under spawn a lambda mapping factory cannot pickle into the
+        pool: the network job warns, re-runs in-process, and matches
+        ``parallel=1``."""
+        from repro.mapping.mapping import single_level_mapping
+
+        monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
+        arch = Architecture(
+            "a",
+            [
+                StorageLevel("DRAM", None, component="dram"),
+                StorageLevel("Buffer", 4096, component="sram"),
+            ],
+            ComputeLevel("MAC", instances=1),
+        )
+        design = Design(
+            "d",
+            arch,
+            mapping_factory=lambda workload, arch: single_level_mapping(
+                arch, workload.einsum
+            ),
+        )
+        layers = [
+            NetLayer("first", matmul(8, 8, 8, name="first")),
+            NetLayer("second", matmul(8, 8, 8, name="second")),
+        ]
+
+        def densities(layer):
+            return {"A": 0.5 if layer.name == "first" else 0.25, "B": 0.5}
+
+        with Session() as session:
+            expected = session.evaluate_network(design, layers, densities)
+        with Session(parallel=2) as session:
+            with pytest.warns(RuntimeWarning, match="re-running in-process"):
+                got = session.evaluate_network(design, layers, densities)
+        assert got.to_dict() == expected.to_dict()
+
 
 class TestSessionLifecycle:
     def test_context_manager_closes(self):

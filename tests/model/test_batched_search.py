@@ -226,25 +226,23 @@ class TestBatchedEqualsSerial:
         assert serial == batched
 
     def test_scalar_oracle_backend(self):
-        """The batched strategy keeps its block structure under the
-        forced scalar sparse backend (the stacked flush degenerates to
-        per-candidate scalar arithmetic) — and still agrees with both
-        the vectorized batched scan and the scalar serial oracle."""
+        """The batched strategy keeps its block structure in reference
+        mode (the stacked passes degenerate to per-candidate scalar
+        arithmetic) — and still agrees with both the fast batched scan
+        and the reference serial scan."""
         design, workload = _sampled_cases()[0]
-        scalar_batched_eval = Evaluator(
-            search_budget=BUDGET, sparse_vectorized=False
-        )
+        scalar_batched_eval = Evaluator(search_budget=BUDGET, reference=True)
         scalar = _winner_tuple(
             scalar_batched_eval, design, workload, "batched"
         )
         # The candidate memo is backend-independent.
         assert len(scalar_batched_eval.cache.stage(CANDIDATES_STAGE)) == 1
         vectorized = _winner_tuple(
-            Evaluator(search_budget=BUDGET),
+            Evaluator(search_budget=BUDGET, reference=False),
             design, workload, "batched",
         )
         serial_scalar = _winner_tuple(
-            Evaluator(search_budget=BUDGET, sparse_vectorized=False),
+            Evaluator(search_budget=BUDGET, reference=True),
             design, workload, "serial",
         )
         assert scalar == vectorized == serial_scalar
@@ -555,7 +553,7 @@ class TestExplicitCandidatesPrefilter:
     ):
         """Explicit candidates share the mapper stream's stacked
         prefilter: no per-candidate ``_capacity_overflow`` scan."""
-        monkeypatch.setattr(engine_module, "PREFILTER_VECTORIZED_DEFAULT", True)
+        monkeypatch.setattr(engine_module, "REFERENCE_DEFAULT", False)
         calls = []
         scalar = Evaluator._capacity_overflow
 

@@ -170,7 +170,7 @@ class TestCapacityPrefilter:
         mapper = Mapper(workload.einsum, design.arch, CONSTRAINTS)
         rejected = 0
         for mapping in mapper.sample_mappings(40, seed=7):
-            if evaluator._passes_capacity_prefilter(design, workload, mapping):
+            if evaluator._capacity_overflow(design, workload, mapping) is None:
                 continue
             rejected += 1
             with pytest.raises(ValidationError):

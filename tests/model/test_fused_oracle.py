@@ -4,17 +4,20 @@ A :class:`FusedMapping` with no sub-nests and no fusion level must
 reproduce ``evaluate_network``'s per-layer results *bit-identically* —
 the fused path with nothing fused is the unfused path. Checked across
 every bundled design family so the refactored evaluation core provably
-did not change the single-einsum semantics.
+did not change the single-einsum semantics. A real fusion is checked
+against the engine's reference mode.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.api import Session
+from repro.api import FusedMapping, Session
+from repro.dataflow import nest_analysis
 from repro.designs import codesign, dstc, eyeriss, eyeriss_v2, scnn, stc, toy
 from repro.designs.common import generic_einsum_mapping
-from repro.workload.nets import NetLayer
+from repro.model.engine import Evaluator
+from repro.workload.nets import NetLayer, attention
 from tests.workload.test_graph import chain_graph
 
 DENSITIES = {"A": 0.5, "B": 0.6, "H": 0.7, "C": 0.4}
@@ -85,3 +88,33 @@ def test_degenerate_shared_records_report_backing_traffic():
     assert record["producer"] == "fc1"
     assert record["consumers"] == ["fc2"]
     assert result.intermediate_backing_words > 0
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_fused_dense_pass_obeys_reference_mode(monkeypatch, reference):
+    """Fused at the buffer, both modes match the uncached reference bit
+    for bit, and the fused dense pass runs in the evaluator's mode."""
+    modes = []
+    real = nest_analysis.analyze_fused_dataflow
+
+    def spy(*args, **kwargs):
+        modes.append(kwargs["reference"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nest_analysis, "analyze_fused_dataflow", spy)
+    design = replace(
+        toy.dense_design(),
+        mapping=None,
+        constraints=None,
+        mapping_factory=generic_einsum_mapping,
+    )
+    graph = attention(seq=32, d_model=64, heads=2)
+    fused = FusedMapping(fuse_at="Buffer")
+    got = Evaluator(check_capacity=False, reference=reference)._evaluate_fused(
+        design, graph, fused=fused
+    )
+    oracle = Evaluator(
+        check_capacity=False, reference=True, cache=None
+    )._evaluate_fused(design, graph, fused=fused)
+    assert modes == [reference, True]
+    assert got.to_dict() == oracle.to_dict()

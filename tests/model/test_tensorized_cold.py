@@ -5,8 +5,8 @@ capacity prefilter, the batched dense nest analysis, and the
 zero-pickle parallel fan-out — each keeping a scalar/serial oracle it
 must match **bit for bit**. This suite pins the equivalences the cold
 bench (``benchmarks/bench_perf_engine.py::test_search_cold_smoke``)
-relies on, across designs, workloads, knob combinations, and caching
-modes, and guards the fan-out protocol against regressing to
+relies on, across designs, workloads, the fast and reference modes,
+and caching modes, and guards the fan-out protocol against regressing to
 per-chunk design pickling.
 """
 
@@ -122,11 +122,9 @@ class TestPrefilterBlockEquivalence:
         design, workload = CASES[case]()
         mappings = _sample(design, workload)
         evaluator = Evaluator()
-        fast = evaluator._capacity_overflow_block(
-            design, workload, mappings, vectorized=True
-        )
+        fast = evaluator._capacity_overflow_block(design, workload, mappings)
         slow = evaluator._capacity_overflow_block(
-            design, workload, mappings, vectorized=False
+            design, workload, mappings, reference=True
         )
         assert len(fast) == len(slow) == len(mappings)
         for a, b in zip(fast, slow):
@@ -146,9 +144,7 @@ class TestPrefilterBlockEquivalence:
 def test_prefilter_equivalence_covers_rejections():
     design, workload = _overflow_case()
     mappings = _sample(design, workload)
-    rejects = Evaluator()._capacity_overflow_block(
-        design, workload, mappings, vectorized=True
-    )
+    rejects = Evaluator()._capacity_overflow_block(design, workload, mappings)
     assert any(r is not None for r in rejects)
     assert any(r is None for r in rejects)
 
@@ -159,13 +155,14 @@ class TestBatchedDenseEquivalence:
         design, workload = CASES[case]()
         mappings = [
             m for m in _sample(design, workload)
-            if Evaluator()._passes_capacity_prefilter(design, workload, m)
+            if Evaluator()._capacity_overflow(design, workload, m) is None
         ]
         assert mappings, "case sampled no in-capacity mappings"
         jobs = [(workload, design.arch, m) for m in mappings]
-        batch = analyze_dataflow_batch(jobs, vectorized=True)
-        for traffic, (wl, arch, mapping) in zip(batch, jobs):
-            scalar = analyze_dataflow(wl, arch, mapping)
+        batch = analyze_dataflow_batch(jobs)
+        walks = analyze_dataflow_batch(jobs, reference=True)
+        for traffic, scalar, (wl, arch, mapping) in zip(batch, walks, jobs):
+            assert scalar == analyze_dataflow(wl, arch, mapping)
             # DenseTraffic equality spans every numeric field (the
             # nest view is identity-excluded by design).
             assert traffic == scalar
@@ -173,14 +170,10 @@ class TestBatchedDenseEquivalence:
 
 
 KNOB_GRID = [
-    dict(prefilter_vectorized=True, dense_vectorized=True),
-    dict(prefilter_vectorized=False, dense_vectorized=True),
-    dict(prefilter_vectorized=True, dense_vectorized=False),
-    dict(prefilter_vectorized=True, dense_vectorized=True,
-         sparse_vectorized=False),
-    dict(prefilter_vectorized=True, dense_vectorized=True, cache=None),
-    dict(prefilter_vectorized=False, dense_vectorized=False,
-         sparse_vectorized=False, cache=None),
+    dict(reference=False),
+    dict(reference=True),
+    dict(reference=False, cache=None),
+    dict(reference=True, cache=None),
 ]
 
 
@@ -191,15 +184,13 @@ KNOB_GRID = [
 class TestColdSearchBitIdentity:
     def test_winner_matches_full_scalar_oracle(self, case, knobs):
         design, workload = CASES[case]()
-        oracle = Evaluator(
-            search_budget=24,
-            prefilter_vectorized=False,
-            dense_vectorized=False,
-        )
+        # The whole reference: every stage on its oracle, no cache, and
+        # the per-candidate serial scan.
+        oracle = Evaluator(search_budget=24, reference=True, cache=None)
         fast = Evaluator(search_budget=24, **knobs)
         assert_results_equal(
             fast._search_mappings(design, workload, batch_size=8),
-            oracle._search_mappings(design, workload, batch_size=8),
+            oracle._search_mappings(design, workload, strategy="serial"),
         )
 
 

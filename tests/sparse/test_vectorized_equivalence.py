@@ -114,8 +114,8 @@ class TestVectorizedEquivalence:
         mapping = design.mapping_for(workload)
         assert mapping is not None, f"{name} needs a concrete mapping"
         dense = analyze_dataflow(workload, design.arch, mapping)
-        vec = analyze_sparse(dense, design.safs, vectorized=True)
-        scalar = analyze_sparse(dense, design.safs, vectorized=False)
+        vec = analyze_sparse(dense, design.safs)
+        scalar = analyze_sparse(dense, design.safs, reference=True)
         assert_sparse_identical(vec, scalar)
 
     @pytest.mark.parametrize(
@@ -123,8 +123,8 @@ class TestVectorizedEquivalence:
     )
     def test_full_pipeline_identical(self, name, design, workload):
         """End to end: cycles/energy through the engine match exactly."""
-        vec = Evaluator(cache=None, sparse_vectorized=True)
-        scalar = Evaluator(cache=None, sparse_vectorized=False)
+        vec = Evaluator(cache=None, reference=False)
+        scalar = Evaluator(cache=None, reference=True)
         a = vec._evaluate(design, workload)
         b = scalar._evaluate(design, workload)
         assert a.cycles == b.cycles
@@ -151,22 +151,22 @@ class TestStackedBatchEquivalence:
         the scalar oracle)."""
         pairs = self._pairs()
         stacked = analyze_sparse_batch(
-            [(dense, safs) for _, dense, safs in pairs], vectorized=True
+            [(dense, safs) for _, dense, safs in pairs]
         )
         for (name, dense, safs), batch_result in zip(pairs, stacked):
-            single = analyze_sparse(dense, safs, vectorized=True)
-            oracle = analyze_sparse(dense, safs, vectorized=False)
+            single = analyze_sparse(dense, safs)
+            oracle = analyze_sparse(dense, safs, reference=True)
             assert_sparse_identical(batch_result, single)
             assert_sparse_identical(batch_result, oracle)
 
     def test_scalar_backend_falls_back_per_analysis(self):
         pairs = self._pairs()[:3]
         scalar = analyze_sparse_batch(
-            [(dense, safs) for _, dense, safs in pairs], vectorized=False
+            [(dense, safs) for _, dense, safs in pairs], reference=True
         )
         for (name, dense, safs), result in zip(pairs, scalar):
             assert_sparse_identical(
-                result, analyze_sparse(dense, safs, vectorized=False)
+                result, analyze_sparse(dense, safs, reference=True)
             )
 
     def test_empty_batch(self):
@@ -203,7 +203,7 @@ class TestSparseStageCache:
         evaluator = Evaluator()
         first = evaluator._evaluate(design, workload)
         second = evaluator._evaluate(design, workload)
-        assert evaluator.sparse_cache.hits >= 1
+        assert evaluator.cache.sparse.hits >= 1
         # The cached SparseTraffic is returned as-is.
         assert first.sparse is second.sparse
         cold = Evaluator(cache=None)._evaluate(design, workload)
@@ -225,7 +225,7 @@ class TestSparseStageCache:
                         codesign.build_design(dataflow, saf),
                         workload_for(density),
                     )
-        stats = evaluator.sparse_cache.stats()
+        stats = evaluator.cache.sparse.stats()
         assert stats["hits"] >= stats["misses"]
 
 
